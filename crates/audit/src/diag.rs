@@ -5,6 +5,7 @@
 //! versioned JSON — so one mental model covers netlist lints and
 //! workspace audits alike.
 
+use remix_telemetry::json_str;
 use std::fmt;
 
 /// Version of the JSON report layout produced by
@@ -234,26 +235,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// JSON string literal with the escapes JSON requires. Hand-rolled —
-/// the audit engine is dependency-free like the rest of the stack.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The result of one audit pass: every finding, ordered by
 /// (file, line, rule code).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -438,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_hostile_snippets() {
+    fn render_json_escapes_hostile_snippets() {
         let r = AuditReport {
             findings: vec![Finding {
                 rule: AuditRule::UnknownMetricName,

@@ -6,9 +6,10 @@
 //!
 //! Where `remix-lint` audits *netlists and simulation plans* before a
 //! run, `remix-audit` audits the *workspace source itself* before a
-//! merge: a dependency-free rule engine over a line/token scanner (no
-//! full Rust parser) that denies the patterns a thread pool cannot
-//! tolerate and enforces the catalogs the pool depends on.
+//! merge: a rule engine with no dependencies outside the workspace,
+//! over a line/token scanner (no full Rust parser), that denies the
+//! patterns a thread pool cannot tolerate and enforces the catalogs the
+//! pool depends on.
 //!
 //! ## Rule catalog
 //!

@@ -1,428 +1,62 @@
-//! Monte-Carlo checkpoint persistence.
+//! Study checkpoint persistence.
 //!
-//! Long mismatch studies get interrupted — a laptop lid, a CI timeout, a
-//! faulted sample worth inspecting before continuing. This module writes
-//! every completed sample (pass *or* fail) to a small JSON file so
-//! [`iip2_study`](crate::montecarlo::iip2_study) can resume without
-//! recomputing. Per-sample RNG seeding makes the skip exact: sample `k`
-//! draws the same mismatch whether or not samples `0..k` were replayed.
+//! Long studies get interrupted — a laptop lid, a CI timeout, a faulted
+//! sample worth inspecting before continuing. The Monte-Carlo mismatch
+//! study ([`iip2_study_with`](crate::montecarlo::iip2_study_with)) and
+//! the PVT corner sweep
+//! ([`sweep_corners_resumable_with`](crate::corners::sweep_corners_resumable_with))
+//! write every completed unit (pass *or* fail) to a small JSON file and
+//! resume from it without recomputing. Per-index seeding makes the skip
+//! exact: unit `k` computes the same result whether or not units `0..k`
+//! were replayed.
 //!
-//! The JSON is hand-rolled (the workspace carries no serialization
-//! dependency) and deliberately small:
-//!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "seed": 53733,
-//!   "sigma_vt": 0.002,
-//!   "sigma_kp_frac": 0.005,
-//!   "samples": [
-//!     {"index": 0, "ok": true, "iip2_dbm": 66.2},
-//!     {"index": 7, "ok": false, "trace": "dc operating point: ..."}
-//!   ]
-//! }
-//! ```
-//!
-//! Failed samples persist their trace *summary* line only; the full
-//! attempt table lives in the process that observed the failure. A
-//! checkpoint whose mismatch configuration (seed or σ values) differs
-//! from the requested study is ignored rather than trusted — resuming
-//! someone else's run would silently mix distributions.
-//!
-//! ## Generic study checkpoints (version 2)
-//!
-//! The Monte-Carlo format above is pinned (version 1) and stays as-is.
-//! Other interruptible sweeps — corner sweeps today, any indexed study
-//! tomorrow — use the *generic* version-2 document written by
-//! [`save_study`] and read back by [`load_study`]: a study label, a
-//! flat `(name, value)` configuration fingerprint, and one record per
-//! completed unit (a flat `f64` payload on success, a trace summary on
-//! failure):
+//! There is one format, version 3, written by [`save_study_v3`] and
+//! read back by [`load_study_v3`]. It carries a study label, a flat
+//! `(name, value)` configuration fingerprint, the study's unit count, a
+//! `completed` bitmap (`'1'` per finished index) and one record per
+//! completed unit — a flat `f64` payload on success, the one-line trace
+//! summary on failure. Records may come in any order, because the study
+//! pool completes units out of order. A three-unit document with two
+//! completed units:
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3.0,
 //!   "study": "corners",
-//!   "config": [["base.vdd", 1.2], ["corner0.temp_c", 27.0]],
+//!   "config": [
+//!     ["base.vdd", 1.2],
+//!     ["corner0.temp_c", 27.0]
+//!   ],
+//!   "total": 3,
+//!   "completed": "101",
 //!   "records": [
-//!     {"index": 0, "ok": true, "values": [1.0, 2.0]},
-//!     {"index": 1, "ok": false, "trace": "dc operating point: ..."}
+//!     {"index": 2, "ok": false, "trace": "dc operating point: gave up"},
+//!     {"index": 0, "ok": true, "values": [1.0, -0.0025]}
 //!   ]
 //! }
 //! ```
 //!
-//! The same trust rule applies: a document whose study label or
-//! configuration fingerprint differs from the request is ignored, never
-//! merged.
+//! A document whose study label or configuration fingerprint differs
+//! from the request is ignored rather than trusted — resuming someone
+//! else's run would silently mix distributions. So is a torn or
+//! internally inconsistent one. The JSON goes through the workspace's
+//! one codec, [`remix_telemetry::parse_json`] and
+//! [`remix_telemetry::json_str`], and every save is a
+//! [`remix_exec::atomic_write`].
 
 use crate::montecarlo::{MismatchConfig, SampleOutcome};
-use remix_analysis::ConvergenceTrace;
+use remix_exec::{Interruption, PoolOptions, TaskContext, TaskOutcome, TaskResult};
+use remix_telemetry::{json_str, parse_json, JsonValue};
 use std::fmt::Write as _;
 use std::path::Path;
 
-const VERSION: f64 = 1.0;
+const BITMAP_VERSION: f64 = 3.0;
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
+/// The study label of Monte-Carlo mismatch checkpoints.
+pub(crate) const MC_STUDY: &str = "mc_iip2";
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the checkpoint document for `outcomes[i]` = sample `i`.
-///
-/// Non-finite IIP2 values (which should not occur — an `Ok` outcome is a
-/// solved sample) are dropped rather than emitted as invalid JSON, so
-/// the sample is simply recomputed on resume.
-pub fn render(mm: &MismatchConfig, outcomes: &[SampleOutcome]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"version\": {VERSION:?},");
-    let _ = writeln!(out, "  \"seed\": {},", mm.seed);
-    let _ = writeln!(out, "  \"sigma_vt\": {:?},", mm.sigma_vt);
-    let _ = writeln!(out, "  \"sigma_kp_frac\": {:?},", mm.sigma_kp_frac);
-    let _ = writeln!(out, "  \"samples\": [");
-    let mut first = true;
-    for (i, o) in outcomes.iter().enumerate() {
-        let line = match o {
-            SampleOutcome::Ok(v) if v.is_finite() => {
-                format!("    {{\"index\": {i}, \"ok\": true, \"iip2_dbm\": {v:?}}}")
-            }
-            SampleOutcome::Ok(_) => continue,
-            SampleOutcome::Failed(trace) => format!(
-                "    {{\"index\": {i}, \"ok\": false, \"trace\": \"{}\"}}",
-                escape_json(&trace.summary())
-            ),
-        };
-        if !first {
-            let _ = writeln!(out, ",");
-        }
-        let _ = write!(out, "{line}");
-        first = false;
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Writes the checkpoint for the completed `outcomes` to `path`,
-/// atomically (see [`atomic_write`]): a crash mid-save leaves the
-/// previous checkpoint intact, never a torn file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the underlying write or rename.
-pub fn save(path: &Path, mm: &MismatchConfig, outcomes: &[SampleOutcome]) -> std::io::Result<()> {
-    let result = atomic_write(path, &render(mm, outcomes));
-    checkpoint_event("save", path, result.is_ok(), outcomes.len());
-    result
-}
-
-/// Crash-safe file replacement (tmp + fsync + rename), shared with the
-/// rest of the stack through [`remix_exec::atomic_write`]: a kill at
-/// any instant leaves either the old file or the new one — an in-place
-/// `fs::write` could leave a torn prefix that [`load`]/[`load_study`]
-/// would have to reject, losing every completed sample.
-fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
-    remix_exec::atomic_write(path, contents)
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser (objects, arrays, strings, numbers, bools, null)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        self.skip_ws();
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.eat_literal("true").map(|()| Json::Bool(true)),
-            b'f' => self.eat_literal("false").map(|()| Json::Bool(false)),
-            b'n' => self.eat_literal("null").map(|()| Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(pairs));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one full UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Json::Num)
-    }
-}
-
-fn parse(text: &str) -> Option<Json> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos == p.bytes.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// Loader
-// ---------------------------------------------------------------------
-
-/// Parses checkpoint text into `(index, outcome)` pairs, or `None` when
-/// the document is malformed or was written for a different mismatch
-/// configuration (seed or σ mismatch).
-pub fn restore(text: &str, mm: &MismatchConfig) -> Option<Vec<(usize, SampleOutcome)>> {
-    let doc = parse(text)?;
-    if doc.get("version")?.as_num()? != VERSION {
-        return None;
-    }
-    let same_config = doc.get("seed")?.as_num()? == mm.seed as f64
-        && doc.get("sigma_vt")?.as_num()? == mm.sigma_vt
-        && doc.get("sigma_kp_frac")?.as_num()? == mm.sigma_kp_frac;
-    if !same_config {
-        return None;
-    }
-    let samples = match doc.get("samples")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
-    let mut out = Vec::with_capacity(samples.len());
-    for s in samples {
-        let index = s.get("index")?.as_num()?;
-        if index < 0.0 || index.fract() != 0.0 {
-            return None;
-        }
-        let outcome = if s.get("ok")?.as_bool()? {
-            SampleOutcome::Ok(s.get("iip2_dbm")?.as_num()?)
-        } else {
-            SampleOutcome::Failed(ConvergenceTrace::new(s.get("trace")?.as_str()?))
-        };
-        out.push((index as usize, outcome));
-    }
-    Some(out)
-}
-
-/// Reads and validates the checkpoint at `path`; `None` when the file is
-/// missing, unreadable, malformed, or from a different configuration.
-pub fn load(path: &Path, mm: &MismatchConfig) -> Option<Vec<(usize, SampleOutcome)>> {
-    let restored = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| restore(&text, mm));
-    checkpoint_event(
-        "load",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
-}
-
-// ---------------------------------------------------------------------
-// Generic study checkpoints (version 2)
-// ---------------------------------------------------------------------
-
-const STUDY_VERSION: f64 = 2.0;
-
-/// Outcome of one completed study unit, in the flat form the version-2
-/// checkpoint persists.
+/// Outcome of one completed study unit, in the flat form the checkpoint
+/// persists.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StudyOutcome {
     /// The unit solved; its result flattened to scalars (the study
@@ -433,168 +67,13 @@ pub enum StudyOutcome {
     Failed(String),
 }
 
-/// Renders a version-2 study checkpoint for the completed `records`
-/// (`(index, outcome)` pairs, any order).
-///
-/// Successful records containing non-finite values are dropped rather
-/// than emitted as invalid JSON; those units simply recompute on resume.
-pub fn render_study(
-    study: &str,
-    config: &[(String, f64)],
-    records: &[(usize, StudyOutcome)],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"version\": {STUDY_VERSION:?},");
-    let _ = writeln!(out, "  \"study\": \"{}\",", escape_json(study));
-    let _ = writeln!(out, "  \"config\": [");
-    for (i, (name, value)) in config.iter().enumerate() {
-        let comma = if i + 1 == config.len() { "" } else { "," };
-        let _ = writeln!(out, "    [\"{}\", {value:?}]{comma}", escape_json(name));
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"records\": [");
-    let mut first = true;
-    for (index, outcome) in records {
-        let line = match outcome {
-            StudyOutcome::Ok(values) if values.iter().all(|v| v.is_finite()) => {
-                let joined = values
-                    .iter()
-                    .map(|v| format!("{v:?}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("    {{\"index\": {index}, \"ok\": true, \"values\": [{joined}]}}")
-            }
-            StudyOutcome::Ok(_) => continue,
-            StudyOutcome::Failed(trace) => format!(
-                "    {{\"index\": {index}, \"ok\": false, \"trace\": \"{}\"}}",
-                escape_json(trace)
-            ),
-        };
-        if !first {
-            let _ = writeln!(out, ",");
-        }
-        let _ = write!(out, "{line}");
-        first = false;
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Writes the version-2 study checkpoint to `path`, atomically (see
-/// [`atomic_write`]): a kill mid-save leaves the previous checkpoint,
-/// never a torn file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the underlying write or rename.
-pub fn save_study(
-    path: &Path,
-    study: &str,
-    config: &[(String, f64)],
-    records: &[(usize, StudyOutcome)],
-) -> std::io::Result<()> {
-    let result = atomic_write(path, &render_study(study, config, records));
-    checkpoint_event("save_study", path, result.is_ok(), records.len());
-    result
-}
-
-/// Parses version-2 checkpoint text into `(index, outcome)` pairs, or
-/// `None` when the document is malformed or was written for a different
-/// study label or configuration fingerprint.
-pub fn restore_study(
-    text: &str,
-    study: &str,
-    config: &[(String, f64)],
-) -> Option<Vec<(usize, StudyOutcome)>> {
-    let doc = parse(text)?;
-    if doc.get("version")?.as_num()? != STUDY_VERSION {
-        return None;
-    }
-    if doc.get("study")?.as_str()? != study {
-        return None;
-    }
-    let stored = match doc.get("config")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
-    if stored.len() != config.len() {
-        return None;
-    }
-    for (item, (name, value)) in stored.iter().zip(config) {
-        let pair = match item {
-            Json::Arr(pair) if pair.len() == 2 => pair,
-            _ => return None,
-        };
-        if pair[0].as_str()? != name || pair[1].as_num()? != *value {
-            return None;
-        }
-    }
-    let records = match doc.get("records")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
-    let mut out = Vec::with_capacity(records.len());
-    for r in records {
-        let index = r.get("index")?.as_num()?;
-        if index < 0.0 || index.fract() != 0.0 {
-            return None;
-        }
-        let outcome = if r.get("ok")?.as_bool()? {
-            let values = match r.get("values")? {
-                Json::Arr(items) => items
-                    .iter()
-                    .map(|v| v.as_num())
-                    .collect::<Option<Vec<f64>>>()?,
-                _ => return None,
-            };
-            StudyOutcome::Ok(values)
-        } else {
-            StudyOutcome::Failed(r.get("trace")?.as_str()?.to_string())
-        };
-        out.push((index as usize, outcome));
-    }
-    Some(out)
-}
-
-/// Reads and validates the version-2 checkpoint at `path`; `None` when
-/// the file is missing, unreadable, malformed, or from a different study
-/// or configuration.
-pub fn load_study(
-    path: &Path,
-    study: &str,
-    config: &[(String, f64)],
-) -> Option<Vec<(usize, StudyOutcome)>> {
-    let restored = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| restore_study(&text, study, config));
-    checkpoint_event(
-        "load_study",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
-}
-
-// ---------------------------------------------------------------------
-// Bitmap study checkpoints (version 3)
-// ---------------------------------------------------------------------
-
-const BITMAP_VERSION: f64 = 3.0;
-
 /// Renders a version-3 bitmap study checkpoint.
 ///
-/// Version 2 implicitly assumed in-order completion: a document was the
-/// records written so far, and resuming trusted whatever prefix it
-/// held. A work-stealing pool completes units *out of order*, so
-/// version 3 makes the completed set explicit: a `total` unit count, a
-/// `completed` bitmap (`'1'` per finished index), and sparse, any-order
-/// records. The bitmap and the record index set must match exactly —
-/// any divergence (a torn file, a partial external edit) rejects the
-/// whole document rather than resuming from a lie.
+/// The document makes the completed set explicit: a `total` unit count,
+/// a `completed` bitmap (`'1'` per finished index), and sparse,
+/// any-order records. The bitmap and the record index set must match
+/// exactly — any divergence (a torn file, a partial external edit)
+/// rejects the whole document rather than resuming from a lie.
 ///
 /// Successful records containing non-finite values are dropped (bit
 /// cleared) rather than emitted as invalid JSON; those units simply
@@ -622,11 +101,11 @@ pub fn render_study_v3(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"version\": {BITMAP_VERSION:?},");
-    let _ = writeln!(out, "  \"study\": \"{}\",", escape_json(study));
+    let _ = writeln!(out, "  \"study\": {},", json_str(study));
     let _ = writeln!(out, "  \"config\": [");
     for (i, (name, value)) in config.iter().enumerate() {
         let comma = if i + 1 == config.len() { "" } else { "," };
-        let _ = writeln!(out, "    [\"{}\", {value:?}]{comma}", escape_json(name));
+        let _ = writeln!(out, "    [{}, {value:?}]{comma}", json_str(name));
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"total\": {total},");
@@ -648,8 +127,8 @@ pub fn render_study_v3(
                 format!("    {{\"index\": {index}, \"ok\": true, \"values\": [{joined}]}}{comma}")
             }
             StudyOutcome::Failed(trace) => format!(
-                "    {{\"index\": {index}, \"ok\": false, \"trace\": \"{}\"}}{comma}",
-                escape_json(trace)
+                "    {{\"index\": {index}, \"ok\": false, \"trace\": {}}}{comma}",
+                json_str(trace)
             ),
         };
         let _ = writeln!(out, "{line}");
@@ -659,8 +138,9 @@ pub fn render_study_v3(
     out
 }
 
-/// Writes the version-3 bitmap checkpoint to `path`, atomically: a kill
-/// between any two saves leaves one complete, self-consistent document.
+/// Writes the version-3 bitmap checkpoint to `path`, atomically (see
+/// [`remix_exec::atomic_write`]): a kill between any two saves leaves
+/// one complete, self-consistent document.
 ///
 /// # Errors
 ///
@@ -672,9 +152,25 @@ pub fn save_study_v3(
     total: usize,
     records: &[(usize, StudyOutcome)],
 ) -> std::io::Result<()> {
-    let result = atomic_write(path, &render_study_v3(study, config, total, records));
+    let result = remix_exec::atomic_write(path, &render_study_v3(study, config, total, records));
     checkpoint_event("save_bitmap", path, result.is_ok(), records.len());
     result
+}
+
+/// A JSON number. Unlike [`JsonValue::as_f64`], `null` is not one: a
+/// checkpoint never writes `null`, so reading it as NaN would trust an
+/// edited document.
+fn number(v: &JsonValue) -> Option<f64> {
+    match v {
+        JsonValue::Num(x) => Some(*x),
+        JsonValue::Int(x) => Some(*x as f64),
+        _ => None,
+    }
+}
+
+/// A JSON number that is a non-negative integer (an index or a count).
+fn count(v: &JsonValue) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
 }
 
 /// Parses version-3 checkpoint text into `(index, outcome)` pairs
@@ -691,26 +187,22 @@ pub fn restore_study_v3(
     config: &[(String, f64)],
     total: usize,
 ) -> Option<Vec<(usize, StudyOutcome)>> {
-    let doc = parse(text)?;
-    if doc.get("version")?.as_num()? != BITMAP_VERSION {
+    let doc = parse_json(text).ok()?;
+    if number(doc.get("version")?)? != BITMAP_VERSION {
         return None;
     }
     if doc.get("study")?.as_str()? != study {
         return None;
     }
-    let stored = match doc.get("config")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
+    let stored = doc.get("config")?.as_arr()?;
     if stored.len() != config.len() {
         return None;
     }
     for (item, (name, value)) in stored.iter().zip(config) {
-        let pair = match item {
-            Json::Arr(pair) if pair.len() == 2 => pair,
-            _ => return None,
+        let [stored_name, stored_value] = item.as_arr()? else {
+            return None;
         };
-        if pair[0].as_str()? != name || pair[1].as_num()? != *value {
+        if stored_name.as_str()? != name || number(stored_value)? != *value {
             return None;
         }
     }
@@ -719,27 +211,16 @@ pub fn restore_study_v3(
     // (per-index seeding makes a short study a strict prefix of a long
     // one), so a size difference filters rather than rejects — but any
     // internal bitmap/record divergence still rejects outright.
-    let stored_total = doc.get("total")?.as_num()?;
-    if stored_total < 0.0 || stored_total.fract() != 0.0 {
-        return None;
-    }
-    let stored_total = stored_total as usize;
+    let stored_total = count(doc.get("total")?)?;
     let bitmap = doc.get("completed")?.as_str()?;
     if bitmap.len() != stored_total || bitmap.bytes().any(|b| b != b'0' && b != b'1') {
         return None;
     }
-    let records = match doc.get("records")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
+    let records = doc.get("records")?.as_arr()?;
     let mut seen = vec![false; stored_total];
     let mut out = Vec::with_capacity(records.len());
     for r in records {
-        let index = r.get("index")?.as_num()?;
-        if index < 0.0 || index.fract() != 0.0 {
-            return None;
-        }
-        let index = index as usize;
+        let index = count(r.get("index")?)?;
         // Every record must be inside the document, claimed by the
         // bitmap, and unique.
         if index >= stored_total || bitmap.as_bytes()[index] != b'1' || seen[index] {
@@ -747,14 +228,8 @@ pub fn restore_study_v3(
         }
         seen[index] = true;
         let outcome = if r.get("ok")?.as_bool()? {
-            let values = match r.get("values")? {
-                Json::Arr(items) => items
-                    .iter()
-                    .map(|v| v.as_num())
-                    .collect::<Option<Vec<f64>>>()?,
-                _ => return None,
-            };
-            StudyOutcome::Ok(values)
+            let values = r.get("values")?.as_arr()?;
+            StudyOutcome::Ok(values.iter().map(number).collect::<Option<Vec<f64>>>()?)
         } else {
             StudyOutcome::Failed(r.get("trace")?.as_str()?.to_string())
         };
@@ -793,41 +268,8 @@ pub fn load_study_v3(
     restored
 }
 
-/// Loads a study checkpoint in whatever version it was written:
-/// version 3 (bitmap) first, then legacy version 2 — so a study
-/// interrupted under an older binary resumes seamlessly under the
-/// pooled drivers, which always *save* version 3. Legacy records with
-/// `index >= total` are dropped rather than trusted.
-pub fn load_study_any(
-    path: &Path,
-    study: &str,
-    config: &[(String, f64)],
-    total: usize,
-) -> Option<Vec<(usize, StudyOutcome)>> {
-    let restored = std::fs::read_to_string(path).ok().and_then(|text| {
-        restore_study_v3(&text, study, config, total).or_else(|| {
-            restore_study(&text, study, config).map(|records| {
-                let mut records: Vec<(usize, StudyOutcome)> = records
-                    .into_iter()
-                    .filter(|(index, _)| *index < total)
-                    .collect();
-                records.sort_by_key(|&(index, _)| index);
-                records
-            })
-        })
-    });
-    checkpoint_event(
-        "load_any",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
-}
-
-/// The version-3 configuration fingerprint of a Monte-Carlo mismatch
-/// study — the same trust boundary the version-1 format enforced
-/// through its dedicated `seed`/σ fields.
+/// The configuration fingerprint of a Monte-Carlo mismatch study: a
+/// checkpoint written for another seed or σ is rejected on load.
 pub fn mc_study_config(mm: &MismatchConfig) -> Vec<(String, f64)> {
     vec![
         ("seed".to_string(), mm.seed as f64),
@@ -836,60 +278,125 @@ pub fn mc_study_config(mm: &MismatchConfig) -> Vec<(String, f64)> {
     ]
 }
 
-/// Converts a Monte-Carlo sample outcome into the flat study record
-/// version 3 persists (`Ok(iip2) → values: [iip2]`).
-pub fn mc_record(outcome: &SampleOutcome) -> StudyOutcome {
-    match outcome {
-        SampleOutcome::Ok(v) => StudyOutcome::Ok(vec![*v]),
-        SampleOutcome::Failed(trace) => StudyOutcome::Failed(trace.summary()),
-    }
-}
-
-/// Loads a Monte-Carlo checkpoint in whatever version it was written —
-/// version 3 (bitmap, what the pooled driver saves) first, then the
-/// pinned version-1 format — as `(index, outcome)` pairs. A restored
-/// failure carries its persisted trace summary, exactly as version 1
-/// did.
+/// Loads a Monte-Carlo checkpoint as `(index, outcome)` pairs. A
+/// restored failure carries its persisted trace summary.
 pub fn load_mc_any(
     path: &Path,
     mm: &MismatchConfig,
     total: usize,
 ) -> Option<Vec<(usize, SampleOutcome)>> {
-    let config = mc_study_config(mm);
-    let restored = std::fs::read_to_string(path).ok().and_then(|text| {
-        restore_study_v3(&text, "mc_iip2", &config, total)
-            .map(|records| {
-                records
-                    .into_iter()
-                    .filter_map(|(index, outcome)| {
-                        let sample = match outcome {
-                            StudyOutcome::Ok(values) => SampleOutcome::Ok(*values.first()?),
-                            StudyOutcome::Failed(trace) => {
-                                SampleOutcome::Failed(ConvergenceTrace::new(&trace))
-                            }
-                        };
-                        Some((index, sample))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .or_else(|| {
-                restore(&text, mm).map(|samples| {
-                    let mut samples: Vec<(usize, SampleOutcome)> = samples
-                        .into_iter()
-                        .filter(|(index, _)| *index < total)
-                        .collect();
-                    samples.sort_by_key(|&(index, _)| index);
-                    samples
-                })
-            })
+    let records = load_study_v3(path, MC_STUDY, &mc_study_config(mm), total)?;
+    Some(
+        records
+            .into_iter()
+            .filter_map(|(index, record)| Some((index, decode(record)?)))
+            .collect(),
+    )
+}
+
+/// A study unit's outcome as the resume protocol sees it: how it is
+/// flattened into a checkpoint record and rebuilt from one.
+pub(crate) trait StudyUnit: Clone + Send {
+    /// The unit's noun in timeout traces ("sample", "corner").
+    const NOUN: &'static str;
+    /// The checkpoint record of this outcome.
+    fn encode(&self) -> StudyOutcome;
+    /// Rebuilds a solved unit from its flat values; `None` when they no
+    /// longer deserialize, so the unit recomputes.
+    fn solved(values: &[f64]) -> Option<Self>;
+    /// A failed unit carrying a one-line trace.
+    fn failed(trace: String) -> Self;
+}
+
+fn decode<T: StudyUnit>(record: StudyOutcome) -> Option<T> {
+    match record {
+        StudyOutcome::Ok(values) => T::solved(&values),
+        StudyOutcome::Failed(trace) => Some(T::failed(trace)),
+    }
+}
+
+/// Maps a pool outcome into the study's vocabulary: a contained panic
+/// or an exhausted per-unit deadline is a *failed unit* with a one-line
+/// trace, never a dead study.
+fn resolve<T: StudyUnit>(outcome: &TaskOutcome<T>) -> T {
+    match outcome {
+        TaskOutcome::Done(unit) => unit.clone(),
+        TaskOutcome::Failed(trace) => T::failed(trace.clone()),
+        TaskOutcome::TimedOut {
+            attempts,
+            budget_ms,
+        } => T::failed(format!(
+            "{noun} timed out: {attempts} attempt(s) exhausted the {budget_ms} ms per-{noun} budget",
+            noun = T::NOUN
+        )),
+    }
+}
+
+/// What [`run_study`] hands back to its driver.
+pub(crate) struct StudyRun<T> {
+    /// The longest contiguous completed prefix, in index order.
+    pub prefix: Vec<T>,
+    /// Units computed by this invocation.
+    pub computed: usize,
+    /// Units restored from the checkpoint.
+    pub resumed: usize,
+    /// Why the pool stopped early, when it did.
+    pub interrupted: Option<Interruption>,
+}
+
+/// The resume protocol shared by the study drivers.
+///
+/// Restores every unit a compatible checkpoint at `checkpoint` holds,
+/// runs the remaining indices of `0..total` through `task` on `pool`,
+/// and after every completion calls `on_done` and saves the full
+/// completed set as a version-3 checkpoint. Completion may run out of
+/// order, so under an interruption the checkpoint keeps *every*
+/// completed unit while [`StudyRun::prefix`] stops at the first gap.
+pub(crate) fn run_study<T, F>(
+    study: &str,
+    config: &[(String, f64)],
+    total: usize,
+    checkpoint: Option<&Path>,
+    pool: &PoolOptions,
+    task: F,
+    mut on_done: impl FnMut(&T) + Send,
+) -> StudyRun<T>
+where
+    T: StudyUnit,
+    F: Fn(&TaskContext) -> TaskResult<T> + Sync,
+{
+    let mut slots: Vec<Option<T>> = vec![None; total];
+    let mut records: Vec<(usize, StudyOutcome)> = Vec::new();
+    if let Some(path) = checkpoint {
+        for (i, record) in load_study_v3(path, study, config, total).unwrap_or_default() {
+            if let Some(unit) = decode::<T>(record) {
+                records.push((i, unit.encode()));
+                slots[i] = Some(unit);
+            }
+        }
+    }
+    let resumed = records.len();
+    let todo: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
+    let run = remix_exec::run_tasks(&todo, pool, task, |index, outcome| {
+        let unit = resolve(outcome);
+        on_done(&unit);
+        records.push((index, unit.encode()));
+        if let Some(path) = checkpoint {
+            // Checkpoint write failures must not kill the study the
+            // checkpoint exists to protect; the run just loses
+            // resumability.
+            let _ = save_study_v3(path, study, config, total, &records);
+        }
     });
-    checkpoint_event(
-        "load_any",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
+    for (i, outcome) in &run.outcomes {
+        slots[*i] = Some(resolve(outcome));
+    }
+    StudyRun {
+        prefix: slots.into_iter().map_while(|slot| slot).collect(),
+        computed: run.outcomes.len(),
+        resumed,
+        interrupted: run.interrupted,
+    }
 }
 
 /// Counts and (when an observing sink is armed) logs one checkpoint
@@ -926,123 +433,8 @@ fn checkpoint_event(op: &'static str, path: &Path, ok: bool, records: usize) {
 mod tests {
     use super::*;
 
-    fn mm() -> MismatchConfig {
-        MismatchConfig::default()
-    }
-
-    #[test]
-    fn parser_handles_scalars_and_nesting() {
-        assert_eq!(parse("null"), Some(Json::Null));
-        assert_eq!(parse(" true "), Some(Json::Bool(true)));
-        assert_eq!(parse("-1.5e3"), Some(Json::Num(-1500.0)));
-        assert_eq!(parse(r#""a\"b\nA""#), Some(Json::Str("a\"b\nA".into())));
-        let doc = parse(r#"{"a": [1, {"b": false}], "c": "x"}"#).unwrap();
-        assert_eq!(doc.get("c").and_then(Json::as_str), Some("x"));
-        match doc.get("a") {
-            Some(Json::Arr(items)) => {
-                assert_eq!(items[0], Json::Num(1.0));
-                assert_eq!(items[1].get("b").and_then(Json::as_bool), Some(false));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-        // Trailing garbage and truncation must not parse.
-        assert_eq!(parse("{} x"), None);
-        assert_eq!(parse(r#"{"a": "#), None);
-    }
-
-    #[test]
-    fn round_trips_passed_and_failed_samples() {
-        let outcomes = vec![
-            SampleOutcome::Ok(66.25),
-            SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
-            SampleOutcome::Ok(58.0),
-        ];
-        let text = render(&mm(), &outcomes);
-        let restored = restore(&text, &mm()).unwrap();
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored[0], (0, SampleOutcome::Ok(66.25)));
-        assert_eq!(restored[2], (2, SampleOutcome::Ok(58.0)));
-        match &restored[1] {
-            (1, SampleOutcome::Failed(trace)) => {
-                assert!(trace.analysis.contains("dc operating point"));
-            }
-            other => panic!("expected failed sample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn escaping_survives_hostile_trace_text() {
-        let trace = ConvergenceTrace::new("line\nwith \"quotes\" and \\slashes\\ and\ttabs");
-        let text = render(&mm(), &[SampleOutcome::Failed(trace.clone())]);
-        let restored = restore(&text, &mm()).unwrap();
-        match &restored[0].1 {
-            SampleOutcome::Failed(t) => assert!(t.analysis.contains("\"quotes\"")),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_config_is_rejected() {
-        let text = render(&mm(), &[SampleOutcome::Ok(70.0)]);
-        let other_seed = MismatchConfig {
-            seed: mm().seed + 1,
-            ..mm()
-        };
-        assert!(restore(&text, &other_seed).is_none());
-        let other_sigma = MismatchConfig {
-            sigma_vt: 9e-3,
-            ..mm()
-        };
-        assert!(restore(&text, &other_sigma).is_none());
-        assert!(restore("not json at all", &mm()).is_none());
-    }
-
     fn study_config() -> Vec<(String, f64)> {
         vec![("base.vdd".into(), 1.2), ("corner0.temp_c".into(), 27.0)]
-    }
-
-    #[test]
-    fn study_round_trips_records_in_order() {
-        let records = vec![
-            (0, StudyOutcome::Ok(vec![1.0, -2.5e-3])),
-            (
-                1,
-                StudyOutcome::Failed("dc operating point: gave up".into()),
-            ),
-            (3, StudyOutcome::Ok(vec![])),
-        ];
-        let text = render_study("corners", &study_config(), &records);
-        let restored = restore_study(&text, "corners", &study_config()).unwrap();
-        assert_eq!(restored, records);
-    }
-
-    #[test]
-    fn study_rejects_wrong_label_config_or_version() {
-        let records = vec![(0, StudyOutcome::Ok(vec![7.0]))];
-        let text = render_study("corners", &study_config(), &records);
-        assert!(restore_study(&text, "sweeps", &study_config()).is_none());
-        let mut other = study_config();
-        other[0].1 = 1.3;
-        assert!(restore_study(&text, "corners", &other).is_none());
-        other = study_config();
-        other.pop();
-        assert!(restore_study(&text, "corners", &other).is_none());
-        // A v1 Monte-Carlo document must not load as a study and vice
-        // versa.
-        let v1 = render(&mm(), &[SampleOutcome::Ok(60.0)]);
-        assert!(restore_study(&v1, "corners", &study_config()).is_none());
-        assert!(restore(&text, &mm()).is_none());
-    }
-
-    #[test]
-    fn study_drops_non_finite_payloads() {
-        let records = vec![
-            (0, StudyOutcome::Ok(vec![f64::NAN])),
-            (1, StudyOutcome::Ok(vec![4.0])),
-        ];
-        let text = render_study("corners", &study_config(), &records);
-        let restored = restore_study(&text, "corners", &study_config()).unwrap();
-        assert_eq!(restored, vec![(1, StudyOutcome::Ok(vec![4.0]))]);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -1050,95 +442,66 @@ mod tests {
     }
 
     #[test]
-    fn save_is_atomic_and_leaves_no_temp_files() {
-        let path = temp_path("atomic.json");
-        let _ = std::fs::remove_file(&path);
-        save(&path, &mm(), &[SampleOutcome::Ok(66.0)]).expect("save");
-        let restored = load(&path, &mm()).expect("load");
-        assert_eq!(restored, vec![(0, SampleOutcome::Ok(66.0))]);
-        // No .tmp siblings linger after a successful save.
-        let dir = path.parent().expect("parent");
-        let stem = path
-            .file_name()
-            .expect("name")
-            .to_string_lossy()
-            .into_owned();
-        let leftovers: Vec<_> = std::fs::read_dir(dir)
-            .expect("read_dir")
-            .filter_map(Result::ok)
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(&stem) && n.contains(".tmp."))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_checkpoint_is_rejected_then_resume_recovers() {
-        // Simulates the failure mode the atomic rename prevents: a
-        // writer killed mid-save leaving a truncated document. The
-        // loader must reject the torn file outright (no partial trust),
-        // and the next save must restore a loadable checkpoint.
-        let path = temp_path("torn.json");
-        let outcomes = vec![
-            SampleOutcome::Ok(66.25),
-            SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
-            SampleOutcome::Ok(58.0),
-        ];
-        save(&path, &mm(), &outcomes).expect("save");
-        let full = std::fs::read_to_string(&path).expect("read");
-        for cut in [1, full.len() / 2, full.len() - 2] {
-            std::fs::write(&path, &full[..cut]).expect("tear");
-            assert!(
-                load(&path, &mm()).is_none(),
-                "torn checkpoint (cut at {cut}) must be rejected, not half-trusted"
-            );
-        }
-        // Resume path: the study recomputes and saves again; the new
-        // checkpoint round-trips in full.
-        save(&path, &mm(), &outcomes).expect("re-save");
-        let restored = load(&path, &mm()).expect("reload");
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored[0], (0, SampleOutcome::Ok(66.25)));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_study_checkpoint_is_rejected_then_resume_recovers() {
-        let path = temp_path("torn_study.json");
+    fn renders_the_pinned_v3_document() {
         let records = vec![
-            (0, StudyOutcome::Ok(vec![1.0, 2.0])),
-            (2, StudyOutcome::Failed("gave up".into())),
+            (
+                2,
+                StudyOutcome::Failed("dc operating point: gave up".into()),
+            ),
+            (0, StudyOutcome::Ok(vec![1.0, -2.5e-3])),
         ];
-        save_study(&path, "corners", &study_config(), &records).expect("save");
-        let full = std::fs::read_to_string(&path).expect("read");
-        std::fs::write(&path, &full[..full.len() * 2 / 3]).expect("tear");
-        assert!(load_study(&path, "corners", &study_config()).is_none());
-        save_study(&path, "corners", &study_config(), &records).expect("re-save");
+        let expected = r#"{
+  "version": 3.0,
+  "study": "corners",
+  "config": [
+    ["base.vdd", 1.2],
+    ["corner0.temp_c", 27.0]
+  ],
+  "total": 3,
+  "completed": "101",
+  "records": [
+    {"index": 2, "ok": false, "trace": "dc operating point: gave up"},
+    {"index": 0, "ok": true, "values": [1.0, -0.0025]}
+  ]
+}
+"#;
         assert_eq!(
-            load_study(&path, "corners", &study_config()).expect("reload"),
+            render_study_v3("corners", &study_config(), 3, &records),
+            expected
+        );
+    }
+
+    #[test]
+    fn escaping_survives_hostile_trace_text() {
+        let hostile = "line\nwith \"quotes\" and \\slashes\\ and\ttabs and a bell \u{7}";
+        let records = vec![(0, StudyOutcome::Failed(hostile.into()))];
+        let text = render_study_v3("corners", &study_config(), 1, &records);
+        assert!(text.contains(r#"\"quotes\" and \\slashes\\ and\ttabs and a bell \u0007"#));
+        assert_eq!(
+            restore_study_v3(&text, "corners", &study_config(), 1).unwrap(),
             records
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn atomic_write_to_unwritable_dir_errors_cleanly() {
-        let path = Path::new("/nonexistent-remix-dir/ckpt.json");
-        assert!(save(path, &mm(), &[SampleOutcome::Ok(1.0)]).is_err());
-    }
-
-    #[test]
-    fn non_finite_values_are_dropped_not_emitted() {
-        let text = render(
-            &mm(),
-            &[SampleOutcome::Ok(f64::NAN), SampleOutcome::Ok(60.0)],
-        );
-        let restored = restore(&text, &mm()).unwrap();
-        assert_eq!(restored, vec![(1, SampleOutcome::Ok(60.0))]);
+    fn null_or_fractional_where_a_number_is_expected_is_rejected() {
+        let records = vec![(1, StudyOutcome::Ok(vec![7.0]))];
+        let text = render_study_v3("corners", &study_config(), 2, &records);
+        assert!(restore_study_v3(&text, "corners", &study_config(), 2).is_some());
+        for (from, to) in [
+            ("\"values\": [7.0]", "\"values\": [null]"),
+            ("[\"base.vdd\", 1.2]", "[\"base.vdd\", null]"),
+            ("\"index\": 1", "\"index\": null"),
+            ("\"index\": 1", "\"index\": 1.5"),
+            ("\"total\": 2", "\"total\": null"),
+        ] {
+            let edited = text.replace(from, to);
+            assert_ne!(edited, text, "{from} not found");
+            assert!(
+                restore_study_v3(&edited, "corners", &study_config(), 2).is_none(),
+                "{to} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1172,6 +535,13 @@ mod tests {
         let mut other = study_config();
         other[0].1 = 1.3;
         assert!(restore_study_v3(&text, "corners", &other, 4).is_none());
+        other = study_config();
+        other.pop();
+        assert!(restore_study_v3(&text, "corners", &other, 4).is_none());
+        // Another format version: rejected.
+        let v2 = text.replace("\"version\": 3.0", "\"version\": 2.0");
+        assert!(restore_study_v3(&v2, "corners", &study_config(), 4).is_none());
+        assert!(restore_study_v3("not json at all", "corners", &study_config(), 4).is_none());
         // A different requested size clips/extends instead of rejecting
         // (studies are prefix-stable), so the record at index 1 survives
         // both a grow and a shrink-to-2, but not a shrink-to-1.
@@ -1182,10 +552,6 @@ mod tests {
         assert!(restore_study_v3(&text, "corners", &study_config(), 1)
             .unwrap()
             .is_empty());
-        // A v2 document is not a v3 document and vice versa.
-        let v2 = render_study("corners", &study_config(), &records);
-        assert!(restore_study_v3(&v2, "corners", &study_config(), 4).is_none());
-        assert!(restore_study(&text, "corners", &study_config()).is_none());
         // Bitmap claiming an index with no record backing it: rejected.
         let lying = text.replace("\"0100\"", "\"0110\"");
         assert!(restore_study_v3(&lying, "corners", &study_config(), 4).is_none());
@@ -1232,57 +598,45 @@ mod tests {
     }
 
     #[test]
-    fn load_study_any_reads_both_versions() {
-        let path = temp_path("any_version.json");
-        let records = vec![(0, StudyOutcome::Ok(vec![1.5]))];
-        // Legacy v2 document on disk → still resumes.
-        save_study(&path, "corners", &study_config(), &records).expect("save v2");
-        assert_eq!(
-            load_study_any(&path, "corners", &study_config(), 4).expect("v2 fallback"),
-            records
-        );
-        // v3 document → preferred path.
-        save_study_v3(&path, "corners", &study_config(), 4, &records).expect("save v3");
-        assert_eq!(
-            load_study_any(&path, "corners", &study_config(), 4).expect("v3"),
-            records
-        );
-        let _ = std::fs::remove_file(&path);
+    fn save_to_unwritable_dir_errors_cleanly() {
+        let path = Path::new("/nonexistent-remix-dir/ckpt.json");
+        let records = vec![(0, StudyOutcome::Ok(vec![1.0]))];
+        assert!(save_study_v3(path, "corners", &study_config(), 1, &records).is_err());
     }
 
     #[test]
-    fn load_mc_any_reads_v1_and_v3_monte_carlo_checkpoints() {
+    fn load_mc_any_round_trips_and_rejects_another_seed_or_sigma() {
+        use remix_analysis::ConvergenceTrace;
         let path = temp_path("mc_any.json");
-        let outcomes = vec![
+        let mm = MismatchConfig::default();
+        let outcomes = [
             SampleOutcome::Ok(66.25),
             SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
         ];
-        // Legacy v1 document.
-        save(&path, &mm(), &outcomes).expect("save v1");
-        let from_v1 = load_mc_any(&path, &mm(), 4).expect("v1 fallback");
-        assert_eq!(from_v1.len(), 2);
-        assert_eq!(from_v1[0], (0, SampleOutcome::Ok(66.25)));
-        // v3 bitmap document written by the pooled driver.
         let records: Vec<(usize, StudyOutcome)> = outcomes
             .iter()
             .enumerate()
-            .map(|(i, o)| (i, mc_record(o)))
+            .map(|(i, o)| (i, o.encode()))
             .collect();
-        save_study_v3(&path, "mc_iip2", &mc_study_config(&mm()), 4, &records).expect("save v3");
-        let from_v3 = load_mc_any(&path, &mm(), 4).expect("v3");
-        assert_eq!(from_v3[0], (0, SampleOutcome::Ok(66.25)));
-        match &from_v3[1].1 {
+        save_study_v3(&path, MC_STUDY, &mc_study_config(&mm), 4, &records).expect("save");
+        let restored = load_mc_any(&path, &mm, 4).expect("load");
+        assert_eq!(restored[0], (0, SampleOutcome::Ok(66.25)));
+        match &restored[1].1 {
             SampleOutcome::Failed(trace) => {
                 assert!(trace.analysis.contains("dc operating point"));
             }
             other => panic!("expected failure, got {other:?}"),
         }
-        // A different mismatch config rejects both versions.
-        let other = MismatchConfig {
-            seed: mm().seed + 1,
-            ..mm()
+        let other_seed = MismatchConfig {
+            seed: mm.seed + 1,
+            ..mm
         };
-        assert!(load_mc_any(&path, &other, 4).is_none());
+        assert!(load_mc_any(&path, &other_seed, 4).is_none());
+        let other_sigma = MismatchConfig {
+            sigma_vt: 9e-3,
+            ..mm
+        };
+        assert!(load_mc_any(&path, &other_sigma, 4).is_none());
         let _ = std::fs::remove_file(&path);
     }
 }

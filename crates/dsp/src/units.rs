@@ -1,7 +1,7 @@
 //! RF unit conversions and newtypes.
 //!
 //! The measurement layer traffics in dB quantities referenced to different
-//! bases (dBm into 50 Ω, dBV, plain ratios). Newtypes keep them from being
+//! bases (dBm into 50 Ω, plain ratios). Newtypes keep them from being
 //! mixed up (the API guidelines’ newtype advice).
 
 use std::fmt;
@@ -16,25 +16,10 @@ pub const BOLTZMANN: f64 = 1.380649e-23;
 /// Standard noise-figure reference temperature (K).
 pub const T0: f64 = 290.0;
 
-/// Converts a power *ratio* to decibels.
-///
-/// Returns `-inf` for zero, NaN for negative input (propagated for the
-/// caller to handle).
-#[inline]
-pub fn ratio_to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// Converts decibels to a power ratio.
 #[inline]
 pub fn db_to_ratio(db: f64) -> f64 {
     10f64.powf(db / 10.0)
-}
-
-/// Converts an *amplitude* (voltage) ratio to decibels (20·log10).
-#[inline]
-pub fn amplitude_to_db(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
 }
 
 /// Converts decibels to an amplitude ratio.
@@ -67,12 +52,6 @@ pub fn vpeak_to_dbm(vpk: f64, z: f64) -> f64 {
 #[inline]
 pub fn dbm_to_vpeak(dbm: f64, z: f64) -> f64 {
     (2.0 * z * dbm_to_watts(dbm)).sqrt()
-}
-
-/// RMS voltage → dBV.
-#[inline]
-pub fn vrms_to_dbv(v: f64) -> f64 {
-    20.0 * v.log10()
 }
 
 /// A frequency in hertz (newtype over `f64`).
@@ -186,25 +165,14 @@ impl fmt::Display for PowerDbm {
     }
 }
 
-/// Available thermal noise power density at `T0`: `kT0` ≈ −174 dBm/Hz.
-pub fn thermal_noise_floor_dbm_hz() -> f64 {
-    watts_to_dbm(BOLTZMANN * T0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn db_roundtrips() {
-        assert!((ratio_to_db(100.0) - 20.0).abs() < 1e-12);
+    fn db_to_ratios() {
         assert!((db_to_ratio(3.0) - 1.995).abs() < 1e-2);
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
         assert!((db_to_amplitude(6.0) - 1.995).abs() < 1e-2);
-        for db in [-30.0, 0.0, 12.5] {
-            assert!((ratio_to_db(db_to_ratio(db)) - db).abs() < 1e-12);
-            assert!((amplitude_to_db(db_to_amplitude(db)) - db).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -249,11 +217,5 @@ mod tests {
         assert!((p.watts() - 1e-4).abs() < 1e-12);
         assert_eq!(p.to_string(), "-10.00 dBm");
         assert!(PowerDbm::new(0.0) > p);
-    }
-
-    #[test]
-    fn thermal_floor() {
-        let floor = thermal_noise_floor_dbm_hz();
-        assert!((floor + 173.975).abs() < 0.05, "floor = {floor}");
     }
 }

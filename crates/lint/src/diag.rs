@@ -1,6 +1,7 @@
 //! Diagnostic types: rule identifiers, severities, findings, reports.
 
 use crate::fix::Fix;
+use remix_telemetry::json_str;
 use std::fmt;
 
 /// Version of the JSON report layout produced by
@@ -336,27 +337,6 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
-}
-
-/// JSON string literal with the escapes JSON requires (quote, backslash,
-/// control characters). Hand-rolled because the build environment has no
-/// serde.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The result of a lint pass: every finding, ordered by rule code.

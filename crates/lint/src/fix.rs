@@ -16,9 +16,10 @@
 //! the human; the engine never masks them.
 
 use crate::config::LintConfig;
-use crate::diag::{json_str, Diagnostic, LintReport};
+use crate::diag::{Diagnostic, LintReport};
 use crate::plan::{lint_plan, SimPlan};
 use remix_circuit::{Circuit, ElementId};
+use remix_telemetry::json_str;
 
 /// Upper bound on lint→apply rounds. Each round must apply at least one
 /// *new* fix to continue, so this only guards against a pathological

@@ -31,16 +31,6 @@ pub fn sample_variance(x: &[f64]) -> f64 {
     x.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (x.len() - 1) as f64
 }
 
-/// Root-mean-square value.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn rms(x: &[f64]) -> f64 {
-    assert!(!x.is_empty(), "rms of empty slice");
-    (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
-}
-
 /// Standard deviation (population).
 pub fn std_dev(x: &[f64]) -> f64 {
     variance(x).sqrt()
@@ -109,16 +99,6 @@ mod tests {
         assert_eq!(variance(&x), 1.25);
         assert!((sample_variance(&x) - 5.0 / 3.0).abs() < 1e-12);
         assert!((std_dev(&x) - 1.25f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rms_of_sine_samples() {
-        let n = 1024;
-        let x: Vec<f64> = (0..n)
-            .map(|k| (2.0 * std::f64::consts::PI * k as f64 / n as f64).sin())
-            .collect();
-        // RMS of a unit sine is 1/√2.
-        assert!((rms(&x) - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-6);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Conversion gain of a down-converter is the ratio of the IF output
 //! amplitude to the RF input amplitude, in dB. This module provides the
-//! bookkeeping plus a harness that measures it from output sample records
-//! (behavioral chains or circuit transients).
+//! bookkeeping plus a tone reader for output sample records (behavioral
+//! chains or circuit transients).
 
-use remix_dsp::tone::{tone_amplitude, CoherentPlan};
+use remix_dsp::tone::tone_amplitude;
 
 /// Conversion gain from input/output amplitudes (20·log10).
 ///
@@ -26,23 +26,6 @@ pub struct ConvGainPoint {
     pub f_if: f64,
     /// Conversion gain (dB).
     pub gain_db: f64,
-}
-
-/// Measures conversion gain from an output record: reads the IF tone and
-/// compares to the known input amplitude.
-///
-/// `output` must be at least `plan.n` samples; the last `plan.n` are used.
-pub fn measure_conv_gain(
-    output: &[f64],
-    plan: &CoherentPlan,
-    if_bin_index: usize,
-    a_in: f64,
-) -> f64 {
-    let n = plan.n;
-    assert!(output.len() >= n, "record shorter than plan");
-    let seg = &output[output.len() - n..];
-    let a_if = remix_dsp::tone::goertzel_amplitude(seg, plan.bins[if_bin_index], n);
-    conversion_gain_db(a_in, a_if)
 }
 
 /// Measures the amplitude of an arbitrary (possibly off-plan) tone in the
@@ -88,15 +71,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_amplitude() {
         let _ = conversion_gain_db(0.0, 1.0);
-    }
-
-    #[test]
-    fn measure_from_record() {
-        let plan = CoherentPlan::new(&[5e6], 4096, 0.25e6).unwrap();
-        let a_out = 0.316; // ~+10 dB on 0.1 input
-        let x = remix_dsp::signal::tone(a_out, plan.tone_frequency(0), 0.0, plan.fs, plan.n);
-        let g = measure_conv_gain(&x, &plan, 0, 0.1);
-        assert!((g - 20.0 * (0.316f64 / 0.1).log10()).abs() < 1e-6);
     }
 
     #[test]

@@ -290,11 +290,11 @@ impl ResultCache {
             if !entries.is_empty() {
                 entries.push(',');
             }
-            entries.push_str(&format!("[{key},{}]", crate::protocol::json_escape(&body)));
+            entries.push_str(&format!("[{key},{}]", remix_telemetry::json_str(&body)));
         }
         format!(
             "{{\"version\":{PERSIST_VERSION},\"fingerprint\":{},\"entries\":[{entries}]}}",
-            crate::protocol::json_escape(fingerprint),
+            remix_telemetry::json_str(fingerprint),
         )
     }
 

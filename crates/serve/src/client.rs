@@ -93,7 +93,7 @@ fn render_value(v: &JsonValue) -> String {
         JsonValue::Bool(b) => b.to_string(),
         JsonValue::Int(n) => n.to_string(),
         JsonValue::Num(x) => format!("{x:e}"),
-        JsonValue::Str(s) => crate::protocol::json_escape(s),
+        JsonValue::Str(s) => remix_telemetry::json_str(s),
         JsonValue::Arr(items) => {
             let inner: Vec<String> = items.iter().map(render_value).collect();
             format!("[{}]", inner.join(","))
@@ -101,7 +101,7 @@ fn render_value(v: &JsonValue) -> String {
         JsonValue::Obj(map) => {
             let inner: Vec<String> = map
                 .iter()
-                .map(|(k, v)| format!("{}:{}", crate::protocol::json_escape(k), render_value(v)))
+                .map(|(k, v)| format!("{}:{}", remix_telemetry::json_str(k), render_value(v)))
                 .collect();
             format!("{{{}}}", inner.join(","))
         }

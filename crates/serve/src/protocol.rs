@@ -12,7 +12,7 @@
 //! [`ProtocolError`] variant with a stable `code()` the server can
 //! serialize back, so a client always learns *which* rule it broke.
 
-use remix_telemetry::{parse_json, JsonValue};
+use remix_telemetry::{json_str, parse_json, JsonValue};
 
 /// Hard cap on request line length (bytes) unless configured lower.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 256 * 1024;
@@ -308,33 +308,13 @@ pub fn decode_request(line: &str, max_deck_bytes: usize) -> Result<RequestFrame,
     })))
 }
 
-/// JSON string literal with required escapes (mirrors the telemetry
-/// renderer so server output stays parseable by its own reader).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Encodes the request a client sends for `job` (the only frame
 /// clients build programmatically; ping/stats are literals).
 pub fn encode_job(job: &JobRequest) -> String {
     let mut out = String::from("{\"op\":\"job\"");
-    out.push_str(&format!(",\"id\":{}", json_escape(&job.id)));
-    out.push_str(&format!(",\"kind\":{}", json_escape(job.kind.name())));
-    out.push_str(&format!(",\"deck\":{}", json_escape(&job.deck)));
+    out.push_str(&format!(",\"id\":{}", json_str(&job.id)));
+    out.push_str(&format!(",\"kind\":{}", json_str(job.kind.name())));
+    out.push_str(&format!(",\"deck\":{}", json_str(&job.deck)));
     match &job.kind {
         JobKind::Op => {}
         JobKind::DcSweep {
@@ -345,7 +325,7 @@ pub fn encode_job(job: &JobRequest) -> String {
         } => {
             out.push_str(&format!(
                 ",\"params\":{{\"source\":{},\"start\":{start:e},\"stop\":{stop:e},\"points\":{points}}}",
-                json_escape(source)
+                json_str(source)
             ));
         }
         JobKind::Tran { t_stop, dt } => {
@@ -410,14 +390,14 @@ impl Status {
 /// Server-side response rendering. `result` and `error` bodies are
 /// pre-rendered JSON fragments.
 pub mod render {
-    use super::{json_escape, ProtocolError};
+    use super::{json_str, ProtocolError};
 
     /// `ok` / `partial` terminal line.
     pub fn result(id: &str, status: &str, body: &str, cached: bool, elapsed_ms: u64) -> String {
         format!(
             "{{\"id\":{},\"status\":{},\"result\":{body},\"cached\":{cached},\"elapsed_ms\":{elapsed_ms}}}",
-            json_escape(id),
-            json_escape(status),
+            json_str(id),
+            json_str(status),
         )
     }
 
@@ -426,8 +406,8 @@ pub mod render {
     pub fn partial(id: &str, body: &str, interruption: &str, elapsed_ms: u64) -> String {
         format!(
             "{{\"id\":{},\"status\":\"partial\",\"result\":{body},\"interruption\":{},\"cached\":false,\"elapsed_ms\":{elapsed_ms}}}",
-            json_escape(id),
-            json_escape(interruption),
+            json_str(id),
+            json_str(interruption),
         )
     }
 
@@ -435,9 +415,9 @@ pub mod render {
     pub fn job_error(id: &str, code: &str, message: &str) -> String {
         format!(
             "{{\"id\":{},\"status\":\"error\",\"error\":{{\"code\":{},\"message\":{}}}}}",
-            json_escape(id),
-            json_escape(code),
-            json_escape(message),
+            json_str(id),
+            json_str(code),
+            json_str(message),
         )
     }
 
@@ -445,8 +425,8 @@ pub mod render {
     pub fn shed(id: &str, reason: &str, depth: usize, estimated_wait_ms: u64) -> String {
         format!(
             "{{\"id\":{},\"status\":\"shed\",\"reason\":{},\"depth\":{depth},\"estimated_wait_ms\":{estimated_wait_ms}}}",
-            json_escape(id),
-            json_escape(reason),
+            json_str(id),
+            json_str(reason),
         )
     }
 
@@ -454,14 +434,14 @@ pub mod render {
     pub fn protocol_error(err: &ProtocolError) -> String {
         format!(
             "{{\"status\":\"error\",\"error\":{{\"code\":{},\"message\":{}}}}}",
-            json_escape(err.code()),
-            json_escape(&err.to_string()),
+            json_str(err.code()),
+            json_str(&err.to_string()),
         )
     }
 
     /// Event line streamed before a terminal response.
     pub fn event(id: &str, event_json: &str) -> String {
-        format!("{{\"id\":{},\"event\":{event_json}}}", json_escape(id))
+        format!("{{\"id\":{},\"event\":{event_json}}}", json_str(id))
     }
 
     /// `pong` line.
@@ -537,7 +517,7 @@ mod tests {
     fn oversized_deck_is_refused() {
         let line = format!(
             "{{\"id\":\"a\",\"kind\":\"op\",\"deck\":{}}}",
-            json_escape(&"x".repeat(64))
+            json_str(&"x".repeat(64))
         );
         let err = decode_request(&line, 32).expect_err("must refuse");
         assert_eq!(err.code(), "deck_too_large");

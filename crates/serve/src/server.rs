@@ -454,7 +454,7 @@ fn render_stats(shared: &Shared) -> String {
             if !counters.is_empty() {
                 counters.push(',');
             }
-            counters.push_str(&format!("{}:{v}", crate::protocol::json_escape(&m.name)));
+            counters.push_str(&format!("{}:{v}", remix_telemetry::json_str(&m.name)));
         }
     }
     format!(
