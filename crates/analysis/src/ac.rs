@@ -49,13 +49,6 @@ impl AcResult {
             .map(|i| self.voltage(i, n).abs())
             .collect()
     }
-
-    /// Magnitude response of a differential pair over the sweep.
-    pub fn magnitude_series_diff(&self, p: Node, n: Node) -> Vec<f64> {
-        (0..self.freqs.len())
-            .map(|i| self.voltage_diff(i, p, n).abs())
-            .collect()
-    }
 }
 
 /// Runs an AC sweep at the given frequencies (Hz).

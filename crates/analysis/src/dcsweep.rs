@@ -3,7 +3,7 @@
 use crate::convergence::{StageKind, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
 use crate::op::{dc_operating_point, OpOptions, OperatingPoint};
-use crate::partial::{Interrupted, Partial};
+use crate::partial::{FirstTrace, Interrupted, Partial};
 use remix_circuit::{Circuit, Element, Node, Waveform};
 
 /// Result of a DC sweep.
@@ -184,8 +184,7 @@ pub fn dc_sweep_parallel(
         .with_field("elements", circuit.element_count())
         .with_field("points", values.len());
     let todo: Vec<usize> = (0..values.len()).collect();
-    let first_trace: std::sync::Mutex<Option<crate::convergence::ConvergenceTrace>> =
-        std::sync::Mutex::new(None);
+    let first_trace = FirstTrace::default();
     let run = remix_exec::run_tasks(
         &todo,
         pool,
@@ -201,11 +200,7 @@ pub fn dc_sweep_parallel(
                     trace,
                     ..
                 }) => {
-                    if let Ok(mut slot) = first_trace.lock() {
-                        if slot.is_none() {
-                            *slot = Some(trace);
-                        }
-                    }
+                    first_trace.offer(trace);
                     remix_exec::TaskResult::Interrupted(interruption)
                 }
                 Err(e) => remix_exec::TaskResult::Done(Err(e)),
@@ -213,40 +208,24 @@ pub fn dc_sweep_parallel(
         },
         |_, _| {},
     );
-    let mut slots: Vec<Option<OperatingPoint>> = (0..values.len()).map(|_| None).collect();
-    for (i, outcome) in run.outcomes {
-        match outcome {
-            remix_exec::TaskOutcome::Done(Ok(op)) => slots[i] = Some(*op),
+    let interrupted = run.interrupted;
+    let mut points = Vec::with_capacity(values.len());
+    for (i, slot) in run.into_slots(values.len()).into_iter().enumerate() {
+        match slot {
+            // Only the contiguous prefix is kept: `points` holds 0..i
+            // exactly when no earlier point is missing.
+            Some(Ok(Ok(op))) if points.len() == i => points.push(*op),
+            Some(Ok(Ok(_))) | None => {}
             // A hard (non-budget) error at any point fails the sweep,
             // matching the strict serial contract.
-            remix_exec::TaskOutcome::Done(Err(e)) => return Err(e),
-            remix_exec::TaskOutcome::Failed(trace) => {
+            Some(Ok(Err(e))) => return Err(e),
+            Some(Err(trace)) => {
                 return Err(AnalysisError::NoConvergence {
                     context: format!("dc sweep point {i}"),
                     iterations: 0,
                     trace: crate::convergence::ConvergenceTrace::new(trace),
                 });
             }
-            remix_exec::TaskOutcome::TimedOut {
-                attempts,
-                budget_ms,
-            } => {
-                return Err(AnalysisError::NoConvergence {
-                    context: format!("dc sweep point {i}"),
-                    iterations: 0,
-                    trace: crate::convergence::ConvergenceTrace::new(format!(
-                        "point timed out: {attempts} attempt(s) exhausted the {budget_ms} ms \
-                         per-point budget"
-                    )),
-                });
-            }
-        }
-    }
-    let mut points = Vec::with_capacity(values.len());
-    for slot in &mut slots {
-        match slot.take() {
-            Some(op) => points.push(op),
-            None => break,
         }
     }
     let completed = points.len();
@@ -254,22 +233,7 @@ pub fn dc_sweep_parallel(
         values: values[..completed].to_vec(),
         points,
     };
-    Ok(match run.interrupted {
-        None => Partial::complete(result),
-        Some(interruption) => {
-            let trace = first_trace.lock().ok().and_then(|mut slot| slot.take());
-            let interrupted = match trace {
-                Some(trace) => Interrupted {
-                    interruption,
-                    trace,
-                },
-                None => {
-                    Interrupted::at("dc sweep", TraceStage::Dc(StageKind::Direct), interruption)
-                }
-            };
-            Partial::interrupted(result, interrupted)
-        }
-    })
+    Ok(first_trace.into_partial(result, "dc sweep", interrupted))
 }
 
 #[cfg(test)]

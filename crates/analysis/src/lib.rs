@@ -69,7 +69,7 @@ pub use fault::{active_plan, FaultGuard, FaultKind, FaultPlan};
 pub use op::{
     dc_operating_point, dc_operating_point_dense, LinearSolverKind, OpOptions, OperatingPoint,
 };
-pub use partial::{Interrupted, Partial};
+pub use partial::{FirstTrace, Interrupted, Partial};
 pub use plan::{fastest_stimulus, noise_plan, pss_plan, sweep_plan, tran_plan};
 pub use power::{supply_power, PowerReport};
 pub use pss::{periodic_steady_state, PeriodicSteadyState, PssDegrade, PssOptions};

@@ -12,7 +12,8 @@
 //! converting the interruption into a hard
 //! [`AnalysisError::BudgetExceeded`](crate::error::AnalysisError::BudgetExceeded).
 
-use crate::convergence::ConvergenceTrace;
+use crate::convergence::{ConvergenceTrace, StageKind, TraceStage};
+use std::sync::{Mutex, PoisonError};
 
 /// Why (and where) an analysis was interrupted.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,10 +92,49 @@ impl<T> Partial<T> {
     }
 }
 
+/// The first budget trace any unit of a pooled sweep reported.
+///
+/// The study pool carries only the typed [`remix_exec::Interruption`]
+/// of a unit a budget stopped; units hand their analysis trace here
+/// out-of-band so the sweep's [`Partial`] can still explain itself.
+#[derive(Debug, Default)]
+pub struct FirstTrace(Mutex<Option<ConvergenceTrace>>);
+
+impl FirstTrace {
+    /// Keeps `trace` unless an earlier one is already held.
+    pub fn offer(&self, trace: ConvergenceTrace) {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(trace);
+    }
+
+    /// Wraps `value` as complete, or — when the pool reported
+    /// `interruption` — as cut short, explained by the first offered
+    /// trace or else by a single DC attempt in `analysis`.
+    pub fn into_partial<T>(
+        self,
+        value: T,
+        analysis: &str,
+        interruption: Option<remix_exec::Interruption>,
+    ) -> Partial<T> {
+        let Some(interruption) = interruption else {
+            return Partial::complete(value);
+        };
+        let interrupted = match self.0.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some(trace) => Interrupted {
+                interruption,
+                trace,
+            },
+            None => Interrupted::at(analysis, TraceStage::Dc(StageKind::Direct), interruption),
+        };
+        Partial::interrupted(value, interrupted)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::{StageKind, TraceStage};
 
     #[test]
     fn complete_and_interrupted_constructors() {

@@ -58,11 +58,6 @@ impl YParams {
             s22: ((y0 + self.y11) * (y0 - self.y22) + self.y12 * self.y21) / d,
         }
     }
-
-    /// Input admittance with the output shorted (`y11`).
-    pub fn input_admittance(&self) -> Complex {
-        self.y11
-    }
 }
 
 fn set_port_drive(circuit: &mut Circuit, port: ElementId, mag: f64) {

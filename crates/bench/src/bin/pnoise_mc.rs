@@ -80,23 +80,17 @@ fn run() {
         |ctx| remix_exec::TaskResult::Done(report(modes[ctx.index])),
         |_, _| {},
     );
-    // Outcomes come back sorted by mode index, so the report order is
-    // stable no matter which transient finishes first.
-    for (i, outcome) in &run.outcomes {
-        match outcome {
-            remix_exec::TaskOutcome::Done(line) => println!("{line}"),
-            remix_exec::TaskOutcome::Failed(why) => {
-                println!("{:<8} died: {why}", modes[*i].label());
-            }
-            remix_exec::TaskOutcome::TimedOut { attempts, .. } => {
-                println!(
-                    "{:<8} timed out after {attempts} attempt(s)",
-                    modes[*i].label()
-                );
-            }
+    // One slot per mode index, so the report order is stable no matter
+    // which transient finishes first.
+    let interrupted = run.interrupted;
+    for (mode, slot) in modes.iter().zip(run.into_slots(modes.len())) {
+        match slot {
+            Some(Ok(line)) => println!("{line}"),
+            Some(Err(why)) => println!("{:<8} died: {why}", mode.label()),
+            None => {}
         }
     }
-    if let Some(why) = &run.interrupted {
+    if let Some(why) = &interrupted {
         println!("study interrupted: {why}");
     }
     println!("\nreading: the MC estimate sits several dB above the analytic");

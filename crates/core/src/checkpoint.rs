@@ -44,8 +44,8 @@
 //! [`remix_telemetry::json_str`], and every save is a
 //! [`remix_exec::atomic_write`].
 
-use crate::montecarlo::{MismatchConfig, SampleOutcome};
-use remix_exec::{Interruption, PoolOptions, TaskContext, TaskOutcome, TaskResult};
+use crate::montecarlo::MismatchConfig;
+use remix_exec::{Interruption, PoolOptions, TaskContext, TaskResult};
 use remix_telemetry::{json_str, parse_json, JsonValue};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -78,7 +78,7 @@ pub enum StudyOutcome {
 /// Successful records containing non-finite values are dropped (bit
 /// cleared) rather than emitted as invalid JSON; those units simply
 /// recompute on resume. Records with `index >= total` are dropped too.
-pub fn render_study_v3(
+fn render_study_v3(
     study: &str,
     config: &[(String, f64)],
     total: usize,
@@ -181,7 +181,7 @@ fn count(v: &JsonValue) -> Option<usize> {
 /// A document written for a different unit count loads fine: per-index
 /// seeding makes studies prefix-stable, so size changes clip or extend
 /// rather than reject.
-pub fn restore_study_v3(
+fn restore_study_v3(
     text: &str,
     study: &str,
     config: &[(String, f64)],
@@ -278,27 +278,9 @@ pub fn mc_study_config(mm: &MismatchConfig) -> Vec<(String, f64)> {
     ]
 }
 
-/// Loads a Monte-Carlo checkpoint as `(index, outcome)` pairs. A
-/// restored failure carries its persisted trace summary.
-pub fn load_mc_any(
-    path: &Path,
-    mm: &MismatchConfig,
-    total: usize,
-) -> Option<Vec<(usize, SampleOutcome)>> {
-    let records = load_study_v3(path, MC_STUDY, &mc_study_config(mm), total)?;
-    Some(
-        records
-            .into_iter()
-            .filter_map(|(index, record)| Some((index, decode(record)?)))
-            .collect(),
-    )
-}
-
 /// A study unit's outcome as the resume protocol sees it: how it is
 /// flattened into a checkpoint record and rebuilt from one.
 pub(crate) trait StudyUnit: Clone + Send {
-    /// The unit's noun in timeout traces ("sample", "corner").
-    const NOUN: &'static str;
     /// The checkpoint record of this outcome.
     fn encode(&self) -> StudyOutcome;
     /// Rebuilds a solved unit from its flat values; `None` when they no
@@ -306,30 +288,6 @@ pub(crate) trait StudyUnit: Clone + Send {
     fn solved(values: &[f64]) -> Option<Self>;
     /// A failed unit carrying a one-line trace.
     fn failed(trace: String) -> Self;
-}
-
-fn decode<T: StudyUnit>(record: StudyOutcome) -> Option<T> {
-    match record {
-        StudyOutcome::Ok(values) => T::solved(&values),
-        StudyOutcome::Failed(trace) => Some(T::failed(trace)),
-    }
-}
-
-/// Maps a pool outcome into the study's vocabulary: a contained panic
-/// or an exhausted per-unit deadline is a *failed unit* with a one-line
-/// trace, never a dead study.
-fn resolve<T: StudyUnit>(outcome: &TaskOutcome<T>) -> T {
-    match outcome {
-        TaskOutcome::Done(unit) => unit.clone(),
-        TaskOutcome::Failed(trace) => T::failed(trace.clone()),
-        TaskOutcome::TimedOut {
-            attempts,
-            budget_ms,
-        } => T::failed(format!(
-            "{noun} timed out: {attempts} attempt(s) exhausted the {budget_ms} ms per-{noun} budget",
-            noun = T::NOUN
-        )),
-    }
 }
 
 /// What [`run_study`] hands back to its driver.
@@ -349,9 +307,12 @@ pub(crate) struct StudyRun<T> {
 /// Restores every unit a compatible checkpoint at `checkpoint` holds,
 /// runs the remaining indices of `0..total` through `task` on `pool`,
 /// and after every completion calls `on_done` and saves the full
-/// completed set as a version-3 checkpoint. Completion may run out of
-/// order, so under an interruption the checkpoint keeps *every*
-/// completed unit while [`StudyRun::prefix`] stops at the first gap.
+/// completed set as a version-3 checkpoint. Restored records are saved
+/// back exactly as read. A contained panic or an exhausted per-unit
+/// deadline is a *failed unit* carrying the pool's one-line trace,
+/// never a dead study. Completion may run out of order, so under an
+/// interruption the checkpoint keeps *every* completed unit while
+/// [`StudyRun::prefix`] stops at the first gap.
 pub(crate) fn run_study<T, F>(
     study: &str,
     config: &[(String, f64)],
@@ -365,20 +326,23 @@ where
     T: StudyUnit,
     F: Fn(&TaskContext) -> TaskResult<T> + Sync,
 {
-    let mut slots: Vec<Option<T>> = vec![None; total];
+    let mut restored: Vec<Option<T>> = vec![None; total];
     let mut records: Vec<(usize, StudyOutcome)> = Vec::new();
     if let Some(path) = checkpoint {
         for (i, record) in load_study_v3(path, study, config, total).unwrap_or_default() {
-            if let Some(unit) = decode::<T>(record) {
-                records.push((i, unit.encode()));
-                slots[i] = Some(unit);
+            restored[i] = match &record {
+                StudyOutcome::Ok(values) => T::solved(values),
+                StudyOutcome::Failed(trace) => Some(T::failed(trace.clone())),
+            };
+            if restored[i].is_some() {
+                records.push((i, record));
             }
         }
     }
     let resumed = records.len();
-    let todo: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
+    let todo: Vec<usize> = (0..total).filter(|&i| restored[i].is_none()).collect();
     let run = remix_exec::run_tasks(&todo, pool, task, |index, outcome| {
-        let unit = resolve(outcome);
+        let unit = outcome.clone().unwrap_or_else(T::failed);
         on_done(&unit);
         records.push((index, unit.encode()));
         if let Some(path) = checkpoint {
@@ -388,14 +352,20 @@ where
             let _ = save_study_v3(path, study, config, total, &records);
         }
     });
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(resolve(outcome));
-    }
+    let computed = run.outcomes.len();
+    let interrupted = run.interrupted;
+    let prefix = restored
+        .into_iter()
+        .zip(run.into_slots(total))
+        .map_while(|(restored, computed)| {
+            restored.or(computed.map(|o| o.unwrap_or_else(T::failed)))
+        })
+        .collect();
     StudyRun {
-        prefix: slots.into_iter().map_while(|slot| slot).collect(),
-        computed: run.outcomes.len(),
+        prefix,
+        computed,
         resumed,
-        interrupted: run.interrupted,
+        interrupted,
     }
 }
 
@@ -605,38 +575,59 @@ mod tests {
     }
 
     #[test]
-    fn load_mc_any_round_trips_and_rejects_another_seed_or_sigma() {
-        use remix_analysis::ConvergenceTrace;
-        let path = temp_path("mc_any.json");
+    fn mc_checkpoint_rejects_another_seed_or_sigma() {
+        let path = temp_path("mc_config.json");
         let mm = MismatchConfig::default();
-        let outcomes = [
-            SampleOutcome::Ok(66.25),
-            SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
-        ];
-        let records: Vec<(usize, StudyOutcome)> = outcomes
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (i, o.encode()))
-            .collect();
+        let records = vec![(0, StudyOutcome::Ok(vec![66.25]))];
         save_study_v3(&path, MC_STUDY, &mc_study_config(&mm), 4, &records).expect("save");
-        let restored = load_mc_any(&path, &mm, 4).expect("load");
-        assert_eq!(restored[0], (0, SampleOutcome::Ok(66.25)));
-        match &restored[1].1 {
-            SampleOutcome::Failed(trace) => {
-                assert!(trace.analysis.contains("dc operating point"));
-            }
-            other => panic!("expected failure, got {other:?}"),
-        }
+        assert_eq!(
+            load_study_v3(&path, MC_STUDY, &mc_study_config(&mm), 4).expect("load"),
+            records
+        );
         let other_seed = MismatchConfig {
             seed: mm.seed + 1,
             ..mm
         };
-        assert!(load_mc_any(&path, &other_seed, 4).is_none());
+        assert!(load_study_v3(&path, MC_STUDY, &mc_study_config(&other_seed), 4).is_none());
         let other_sigma = MismatchConfig {
             sigma_vt: 9e-3,
             ..mm
         };
-        assert!(load_mc_any(&path, &other_sigma, 4).is_none());
+        assert!(load_study_v3(&path, MC_STUDY, &mc_study_config(&other_sigma), 4).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_saves_restored_failures_as_read() {
+        use crate::montecarlo::SampleOutcome;
+        let path = temp_path("resume_as_read.json");
+        let config = mc_study_config(&MismatchConfig::default());
+        let trace = "dc operating point: 3 stage attempts, 120 iterations, last [gmin] gave up";
+        let failed = (1, StudyOutcome::Failed(trace.into()));
+        save_study_v3(&path, MC_STUDY, &config, 4, std::slice::from_ref(&failed)).expect("save");
+        // Each resume computes one more unit and then stops, so every
+        // round rewrites the checkpoint around the restored failure.
+        let one_unit_per_resume = PoolOptions {
+            chaos: remix_exec::PoolChaos::parse("cancel:1").expect("spec"),
+            ..PoolOptions::default()
+        };
+        for round in 0..2 {
+            let run = run_study(
+                MC_STUDY,
+                &config,
+                4,
+                Some(&path),
+                &one_unit_per_resume,
+                |ctx| TaskResult::Done(SampleOutcome::Ok(ctx.index as f64)),
+                |_| {},
+            );
+            assert_eq!((run.resumed, run.computed), (1 + round, 1), "round {round}");
+            let saved = load_study_v3(&path, MC_STUDY, &config, 4).expect("reload");
+            assert!(
+                saved.contains(&failed),
+                "round {round}: the restored failure must be saved back as read: {saved:?}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -9,9 +9,7 @@
 use crate::checkpoint::{run_study, StudyOutcome, StudyUnit};
 use crate::config::MixerConfig;
 use crate::model::ExtractedParams;
-use remix_analysis::{
-    AnalysisError, ConvergenceTrace, Interrupted, Partial, StageKind, TraceStage,
-};
+use remix_analysis::{AnalysisError, ConvergenceTrace, FirstTrace, Partial};
 use remix_circuit::MosModel;
 use std::path::Path;
 
@@ -231,8 +229,6 @@ fn study_config(base: &MixerConfig, corners: &[Corner]) -> Vec<(String, f64)> {
 }
 
 impl StudyUnit for CornerOutcome {
-    const NOUN: &'static str = "corner";
-
     fn encode(&self) -> StudyOutcome {
         match self {
             CornerOutcome::Ok(p) => StudyOutcome::Ok(p.to_flat()),
@@ -254,22 +250,7 @@ impl StudyUnit for CornerOutcome {
 /// convergence trace and the sweep continues to the next corner instead
 /// of aborting the design review at the first casualty.
 pub fn sweep_corners(base: &MixerConfig, corners: &[Corner]) -> CornerSweep {
-    sweep_corners_resumable(base, corners, None).value
-}
-
-/// [`sweep_corners`] with checkpoint/resume and run-budget awareness,
-/// on the default (serial) pool.
-pub fn sweep_corners_resumable(
-    base: &MixerConfig,
-    corners: &[Corner],
-    checkpoint: Option<&Path>,
-) -> Partial<CornerSweep> {
-    sweep_corners_resumable_with(
-        base,
-        corners,
-        checkpoint,
-        &remix_exec::PoolOptions::default(),
-    )
+    sweep_corners_resumable_with(base, corners, None, &remix_exec::PoolOptions::default()).value
 }
 
 /// [`sweep_corners`] with checkpoint/resume, run-budget awareness and
@@ -295,10 +276,7 @@ pub fn sweep_corners_resumable_with(
     checkpoint: Option<&Path>,
     pool: &remix_exec::PoolOptions,
 ) -> Partial<CornerSweep> {
-    // A budget trip mid-extraction carries the analysis trace; the pool
-    // reports only the typed interruption, so the first trace is handed
-    // out-of-band to the Partial below.
-    let first_trace: std::sync::Mutex<Option<ConvergenceTrace>> = std::sync::Mutex::new(None);
+    let first_trace = FirstTrace::default();
     // A fault plan armed on the caller thread must also bite on pool
     // workers: capture it here and re-arm per task (counters restart
     // per corner — the deterministic parallel semantics).
@@ -329,11 +307,7 @@ pub fn sweep_corners_resumable_with(
                     // straggler under a per-corner deadline); nothing
                     // is recorded for the corner, so a resumed run
                     // recomputes it in full.
-                    if let Ok(mut slot) = first_trace.lock() {
-                        if slot.is_none() {
-                            *slot = Some(trace);
-                        }
-                    }
+                    first_trace.offer(trace);
                     remix_exec::TaskResult::Interrupted(interruption)
                 }
                 Err(e) => remix_exec::TaskResult::Done(CornerOutcome::Failed(
@@ -348,24 +322,7 @@ pub fn sweep_corners_resumable_with(
         computed: run.computed,
         resumed: run.resumed,
     };
-    match run.interrupted {
-        None => Partial::complete(sweep),
-        Some(interruption) => {
-            let trace = first_trace.lock().ok().and_then(|mut slot| slot.take());
-            let interrupted = match trace {
-                Some(trace) => Interrupted {
-                    interruption,
-                    trace,
-                },
-                None => Interrupted::at(
-                    "corner sweep",
-                    TraceStage::Dc(StageKind::Direct),
-                    interruption,
-                ),
-            };
-            Partial::interrupted(sweep, interrupted)
-        }
-    }
+    first_trace.into_partial(sweep, "corner sweep", run.interrupted)
 }
 
 #[cfg(test)]
@@ -373,6 +330,7 @@ mod tests {
     use super::*;
     use crate::model::{ExtractedParams, MixerModel};
     use crate::MixerMode;
+    use remix_exec::PoolOptions;
 
     #[test]
     fn corner_scaling_laws() {
@@ -451,7 +409,12 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("remix_corner_resume_{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let sweep = sweep_corners_resumable(&base, &[Corner::typical()], Some(&path));
+        let sweep = sweep_corners_resumable_with(
+            &base,
+            &[Corner::typical()],
+            Some(&path),
+            &PoolOptions::default(),
+        );
         assert!(sweep.is_complete());
         let sweep = sweep.value;
         assert_eq!(sweep.results.len(), 1);
@@ -464,7 +427,12 @@ mod tests {
 
         // A second invocation restores the corner from the checkpoint
         // bit-for-bit instead of re-extracting.
-        let resumed = sweep_corners_resumable(&base, &[Corner::typical()], Some(&path));
+        let resumed = sweep_corners_resumable_with(
+            &base,
+            &[Corner::typical()],
+            Some(&path),
+            &PoolOptions::default(),
+        );
         assert!(resumed.is_complete());
         let resumed = resumed.value;
         assert_eq!(resumed.computed, 0, "completed corners must not re-run");
@@ -496,7 +464,12 @@ mod tests {
         let budget = remix_exec::RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         let token = budget.token();
         let _guard = token.arm();
-        let partial = sweep_corners_resumable(&base, &[Corner::typical()], None);
+        let partial = sweep_corners_resumable_with(
+            &base,
+            &[Corner::typical()],
+            None,
+            &PoolOptions::default(),
+        );
         assert!(!partial.is_complete());
         assert!(partial.value.results.is_empty());
         let why = partial.interruption.as_ref().unwrap();
@@ -518,7 +491,12 @@ mod tests {
         let budget = remix_exec::RunBudget::unlimited().with_newton_iterations(3);
         let token = budget.token();
         let _guard = token.arm();
-        let partial = sweep_corners_resumable(&base, &[Corner::typical()], None);
+        let partial = sweep_corners_resumable_with(
+            &base,
+            &[Corner::typical()],
+            None,
+            &PoolOptions::default(),
+        );
         assert!(!partial.is_complete());
         assert_eq!(partial.value.computed, 0);
         let why = partial.interruption.as_ref().unwrap();

@@ -258,8 +258,6 @@ pub(crate) fn failure_trace(e: &AnalysisError) -> ConvergenceTrace {
 }
 
 impl StudyUnit for SampleOutcome {
-    const NOUN: &'static str = "sample";
-
     fn encode(&self) -> StudyOutcome {
         match self {
             SampleOutcome::Ok(v) => StudyOutcome::Ok(vec![*v]),

@@ -89,17 +89,9 @@ impl Freq {
     pub fn in_hz(self) -> f64 {
         self.0
     }
-    /// In kilohertz.
-    pub fn in_khz(self) -> f64 {
-        self.0 / 1e3
-    }
     /// In megahertz.
     pub fn in_mhz(self) -> f64 {
         self.0 / 1e6
-    }
-    /// In gigahertz.
-    pub fn in_ghz(self) -> f64 {
-        self.0 / 1e9
     }
     /// Angular frequency ω = 2πf (rad/s).
     pub fn omega(self) -> f64 {
@@ -152,10 +144,6 @@ impl PowerDbm {
     /// In watts.
     pub fn watts(self) -> f64 {
         dbm_to_watts(self.0)
-    }
-    /// Peak voltage into 50 Ω.
-    pub fn vpeak_50(self) -> f64 {
-        dbm_to_vpeak(self.0, Z0)
     }
 }
 

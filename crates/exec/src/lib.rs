@@ -55,8 +55,8 @@ pub use budget::{
 pub use env::{env_u64, env_u64_or_warn, warn_malformed, EnvValue};
 pub use persist::atomic_write;
 pub use pool::{
-    run_tasks, Parallelism, PoolChaos, PoolOptions, PoolRun, PoolStats, TaskContext, TaskOutcome,
-    TaskResult, WorkerContext, WorkerGuard, ENV_POOL_CHAOS, ENV_WORKERS,
+    run_tasks, Parallelism, PoolChaos, PoolOptions, PoolRun, PoolStats, TaskContext, TaskResult,
+    WorkerContext, WorkerGuard, ENV_POOL_CHAOS, ENV_WORKERS,
 };
 pub use supervisor::{
     retry_backoff, Job, JobError, JobOutcome, JobReport, Supervisor, SupervisorOptions, Watchdog,

@@ -15,15 +15,14 @@
 //!    registry — lifecycle is events ([`names::EXEC_POOL`]) and a
 //!    [`PoolStats`] return value only.
 //! 2. **Containment.** Every task runs under `catch_unwind`; a panic
-//!    becomes a typed [`TaskOutcome::Failed`] handed to the driver,
-//!    never a dead study. Each attempt arms its own budget child token
+//!    becomes an `Err("panic: …")` outcome handed to the driver, never
+//!    a dead study. Each attempt arms its own budget child token
 //!    ([`CancelToken::child`]) and telemetry fork via the existing
 //!    RAII guards, so no state leaks between tasks sharing a worker.
 //! 3. **Liveness.** An optional per-task deadline plus a watchdog
 //!    thread turn stragglers into cancelled attempts that are
-//!    re-dispatched once and then reported as
-//!    [`TaskOutcome::TimedOut`] — one stuck sample cannot wedge the
-//!    pool.
+//!    re-dispatched once and then reported as an `Err` whose text
+//!    starts `timed out:` — one stuck sample cannot wedge the pool.
 //!
 //! The study-level budget still binds: workers poll the caller's armed
 //! token between tasks and attempt tokens are children of it, so a
@@ -46,6 +45,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Re-dispatches allowed after a straggler-cancelled first attempt.
+const MAX_REDISPATCH: u32 = 1;
+
+/// Straggler watchdog poll interval (only spawned when a per-task
+/// deadline is set).
+const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 
 /// Environment knob naming the worker count for study drivers:
 /// `0`/unset → [`Parallelism::Auto`], garbage → typed warning + Auto.
@@ -185,14 +191,9 @@ pub struct PoolOptions {
     /// Worker-count policy.
     pub parallelism: Parallelism,
     /// Per-attempt wall-clock allowance. When set, a watchdog thread
-    /// trips attempts that outlive it; the task is re-dispatched up to
-    /// [`PoolOptions::max_redispatch`] times, then reported as
-    /// [`TaskOutcome::TimedOut`].
+    /// trips attempts that outlive it; the task is re-dispatched once,
+    /// then reported as an `Err` whose text starts `timed out:`.
     pub task_deadline: Option<Duration>,
-    /// Watchdog poll interval (only spawned when a deadline is set).
-    pub watchdog_poll: Duration,
-    /// Re-dispatches allowed after a straggler-cancelled first attempt.
-    pub max_redispatch: u32,
     /// Deterministic fault schedule.
     pub chaos: PoolChaos,
 }
@@ -202,8 +203,6 @@ impl Default for PoolOptions {
         PoolOptions {
             parallelism: Parallelism::Serial,
             task_deadline: None,
-            watchdog_poll: Duration::from_millis(2),
-            max_redispatch: 1,
             chaos: PoolChaos::default(),
         }
     }
@@ -243,42 +242,16 @@ pub struct TaskContext {
     pub worker: usize,
 }
 
-/// What a task body reports back.
+/// What a task body reports back. Domain failures (non-convergence,
+/// …) are the caller's to encode in `T`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskResult<T> {
-    /// The unit solved.
+    /// The unit ran to an outcome.
     Done(T),
-    /// The unit failed for a domain reason (non-convergence, …); the
-    /// study records the typed trace and continues.
-    Failed(String),
     /// A budget hook tripped mid-unit. The pool classifies it: the
     /// attempt's own deadline → straggler re-dispatch; anything from
     /// the study-level budget → study interruption.
     Interrupted(Interruption),
-}
-
-/// Terminal, typed outcome of one task.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskOutcome<T> {
-    /// The task completed.
-    Done(T),
-    /// The task failed — a domain failure *or a contained panic* (the
-    /// trace then starts with `panic:`). The study goes on.
-    Failed(String),
-    /// Every attempt outlived the per-task deadline.
-    TimedOut {
-        /// Attempts spent (first try + re-dispatches).
-        attempts: u32,
-        /// The per-task allowance, in ms.
-        budget_ms: u64,
-    },
-}
-
-impl<T> TaskOutcome<T> {
-    /// `true` for [`TaskOutcome::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, TaskOutcome::Done(_))
-    }
 }
 
 /// Pool bookkeeping for operator reports; intentionally *not* metrics
@@ -304,14 +277,31 @@ pub struct PoolStats {
 #[derive(Debug)]
 pub struct PoolRun<T> {
     /// `(index, outcome)` for every task that reached a terminal
-    /// outcome, sorted by index. Under an interruption this is the
-    /// completed subset — possibly non-contiguous; the caller's
-    /// checkpoint layer persists exactly this set.
-    pub outcomes: Vec<(usize, TaskOutcome<T>)>,
+    /// outcome, sorted by index. `Err` carries a contained panic
+    /// (text starting `panic:`) or an exhausted per-task deadline (text
+    /// starting `timed out:`). Under an interruption this is the completed
+    /// subset — possibly non-contiguous; the caller's checkpoint layer
+    /// persists exactly this set.
+    pub outcomes: Vec<(usize, Result<T, String>)>,
     /// Why dispatch stopped early, when it did.
     pub interrupted: Option<Interruption>,
     /// Run bookkeeping.
     pub stats: PoolStats,
+}
+
+impl<T> PoolRun<T> {
+    /// The outcomes as one slot per index of `0..total`, in index
+    /// order: `None` where no task reached a terminal outcome (not
+    /// dispatched, interrupted, or outside this run's index set).
+    pub fn into_slots(self, total: usize) -> Vec<Option<Result<T, String>>> {
+        let mut slots: Vec<Option<Result<T, String>>> = (0..total).map(|_| None).collect();
+        for (index, outcome) in self.outcomes {
+            if let Some(slot) = slots.get_mut(index) {
+                *slot = Some(outcome);
+            }
+        }
+        slots
+    }
 }
 
 thread_local! {
@@ -410,7 +400,7 @@ pub fn run_tasks<T, F, C>(
 where
     T: Send,
     F: Fn(&TaskContext) -> TaskResult<T> + Sync,
-    C: FnMut(usize, &TaskOutcome<T>) + Send,
+    C: FnMut(usize, &Result<T, String>) + Send,
 {
     let workers = opts
         .parallelism
@@ -441,7 +431,7 @@ where
     let remaining = AtomicUsize::new(indices.len());
     let stop = AtomicBool::new(false);
     let interrupted: Mutex<Option<Interruption>> = Mutex::new(None);
-    let outcomes: Mutex<Vec<(usize, TaskOutcome<T>)>> = Mutex::new(Vec::new());
+    let outcomes: Mutex<Vec<(usize, Result<T, String>)>> = Mutex::new(Vec::new());
     let registries: Mutex<Vec<(usize, u32, Telemetry)>> = Mutex::new(Vec::new());
     let completer = Mutex::new(on_complete);
     let completions = AtomicU64::new(0);
@@ -467,7 +457,6 @@ where
             let slots = &slots;
             let remaining = &remaining;
             let stop = &stop;
-            let poll = opts.watchdog_poll;
             s.spawn(move || {
                 while remaining.load(Ordering::Acquire) > 0 && !stop.load(Ordering::Acquire) {
                     for slot in slots {
@@ -479,7 +468,7 @@ where
                             }
                         }
                     }
-                    std::thread::sleep(poll);
+                    std::thread::sleep(WATCHDOG_POLL);
                 }
             });
         }
@@ -606,7 +595,7 @@ where
                     // audit: relaxed-ok: stat counter.
                     executed.fetch_add(1, Ordering::Relaxed);
 
-                    let finish = |outcome: TaskOutcome<T>, registry: Option<Telemetry>| {
+                    let finish = |outcome: Result<T, String>, registry: Option<Telemetry>| {
                         if let Some(registry) = registry {
                             lock_or_recover(registries).push((index, attempt, registry));
                         }
@@ -649,12 +638,9 @@ where
                             // The panicked attempt's partial metrics are
                             // dropped with its fork: only completed
                             // work may shape the study's snapshot.
-                            finish(TaskOutcome::Failed(format!("panic: {message}")), None);
+                            finish(Err(format!("panic: {message}")), None);
                         }
-                        Ok(TaskResult::Done(value)) => finish(TaskOutcome::Done(value), fork),
-                        Ok(TaskResult::Failed(trace)) => {
-                            finish(TaskOutcome::Failed(trace), fork);
-                        }
+                        Ok(TaskResult::Done(value)) => finish(Ok(value), fork),
                         Ok(TaskResult::Interrupted(why)) => {
                             let study_dead = caller_token
                                 .as_ref()
@@ -664,7 +650,7 @@ where
                                     .as_ref()
                                     .is_some_and(CancelToken::deadline_expired);
                             if !study_dead && attempt_expired && why.is_retryable() {
-                                if attempt < opts.max_redispatch {
+                                if attempt < MAX_REDISPATCH {
                                     // audit: relaxed-ok: stat counter.
                                     redispatches.fetch_add(1, Ordering::Relaxed);
                                     pool_event(
@@ -686,10 +672,11 @@ where
                                     // Wall-clock-shaped partial metrics
                                     // are dropped with the fork.
                                     finish(
-                                        TaskOutcome::TimedOut {
-                                            attempts: attempt + 1,
-                                            budget_ms,
-                                        },
+                                        Err(format!(
+                                            "timed out: {} attempt(s) exhausted the {budget_ms} \
+                                             ms per-task budget",
+                                            attempt + 1
+                                        )),
                                         None,
                                     );
                                 }
@@ -781,14 +768,28 @@ mod tests {
             run.outcomes
                 .iter()
                 .map(|(i, o)| match o {
-                    TaskOutcome::Done(v) => (*i, *v),
-                    other => panic!("expected done, got {other:?}"),
+                    Ok(v) => (*i, *v),
+                    Err(e) => panic!("expected done, got {e}"),
                 })
                 .collect()
         };
         assert_eq!(values(&serial), values(&parallel));
         assert_eq!(parallel.stats.workers, 4);
         assert_eq!(parallel.stats.executed, 16);
+    }
+
+    #[test]
+    fn into_slots_places_outcomes_by_index() {
+        let run = run_tasks(
+            &[3, 1],
+            &PoolOptions::with_parallelism(Parallelism::Workers(2)),
+            |ctx| TaskResult::Done(ctx.index * 10),
+            |_, _| {},
+        );
+        assert_eq!(
+            run.into_slots(5),
+            vec![None, Some(Ok(10)), None, Some(Ok(30)), None]
+        );
     }
 
     #[test]
@@ -815,11 +816,11 @@ mod tests {
         assert_eq!(run.outcomes.len(), 8);
         assert_eq!(run.stats.panics, 1);
         match &run.outcomes[3].1 {
-            TaskOutcome::Failed(trace) => {
+            Err(trace) => {
                 assert!(trace.starts_with("panic:"), "{trace}");
                 assert!(trace.contains("sample exploded"));
             }
-            other => panic!("expected contained panic, got {other:?}"),
+            Ok(v) => panic!("expected contained panic, got {v}"),
         }
     }
 
@@ -840,7 +841,7 @@ mod tests {
             let failed: Vec<usize> = run
                 .outcomes
                 .iter()
-                .filter(|(_, o)| !o.is_done())
+                .filter(|(_, o)| o.is_err())
                 .map(|(i, _)| *i)
                 .collect();
             assert_eq!(failed, vec![4, 9], "workers={workers}");
@@ -892,7 +893,6 @@ mod tests {
         let opts = PoolOptions {
             parallelism: Parallelism::Workers(2),
             task_deadline: Some(Duration::from_millis(25)),
-            watchdog_poll: Duration::from_micros(500),
             ..PoolOptions::default()
         };
         let run = run_tasks(
@@ -915,7 +915,7 @@ mod tests {
         );
         assert!(run.interrupted.is_none(), "{:?}", run.interrupted);
         assert_eq!(run.outcomes.len(), 4);
-        assert!(run.outcomes.iter().all(|(_, o)| o.is_done()));
+        assert!(run.outcomes.iter().all(|(_, o)| o.is_ok()));
         assert_eq!(run.stats.redispatches, 1);
     }
 
@@ -924,8 +924,6 @@ mod tests {
         let opts = PoolOptions {
             parallelism: Parallelism::Workers(2),
             task_deadline: Some(Duration::from_millis(15)),
-            watchdog_poll: Duration::from_micros(500),
-            max_redispatch: 1,
             ..PoolOptions::default()
         };
         let run = run_tasks(
@@ -945,16 +943,10 @@ mod tests {
             |_, _| {},
         );
         assert!(run.interrupted.is_none());
-        match &run.outcomes[0].1 {
-            TaskOutcome::TimedOut {
-                attempts,
-                budget_ms,
-            } => {
-                assert_eq!(*attempts, 2);
-                assert_eq!(*budget_ms, 15);
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
+        assert_eq!(
+            run.outcomes[0].1,
+            Err("timed out: 2 attempt(s) exhausted the 15 ms per-task budget".to_string())
+        );
         assert_eq!(run.stats.redispatches, 1);
     }
 
@@ -1013,7 +1005,7 @@ mod tests {
             |ctx| TaskResult::Done(ctx.index),
             |index, outcome| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                assert!(outcome.is_done());
+                assert!(outcome.is_ok());
                 lock_or_recover(&seen).push(index);
             },
         );

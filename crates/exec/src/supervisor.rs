@@ -99,9 +99,10 @@ pub struct SupervisorOptions {
     pub backoff_base: Duration,
     /// Upper bound on any single backoff delay.
     pub backoff_cap: Duration,
-    /// Watchdog poll interval (only spawned when a deadline is set).
-    pub watchdog_poll: Duration,
 }
+
+/// Watchdog poll interval (only spawned when a deadline is set).
+const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 
 impl Default for SupervisorOptions {
     fn default() -> Self {
@@ -110,7 +111,6 @@ impl Default for SupervisorOptions {
             max_retries: 2,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(500),
-            watchdog_poll: Duration::from_millis(2),
         }
     }
 }
@@ -235,7 +235,7 @@ impl Supervisor {
                 .opts
                 .budget
                 .deadline
-                .map(|_| Watchdog::spawn(token.clone(), self.opts.watchdog_poll));
+                .map(|_| Watchdog::spawn(token.clone(), WATCHDOG_POLL));
             job_event(name, "started", attempt, 0, 0);
             let guard = token.arm();
             let result = catch_unwind(AssertUnwindSafe(|| work(&token)));
@@ -430,7 +430,6 @@ mod tests {
         let sup = Supervisor::new(SupervisorOptions {
             budget: RunBudget::unlimited().with_deadline(Duration::from_millis(5)),
             max_retries: 0,
-            watchdog_poll: Duration::from_micros(200),
             ..SupervisorOptions::default()
         });
         let report = sup.run("spinner", |token| -> Result<(), JobError> {

@@ -29,7 +29,7 @@ use remix_analysis::{
     Partial,
 };
 use remix_circuit::{Circuit, Element};
-use remix_exec::{run_tasks, PoolOptions, TaskOutcome, TaskResult};
+use remix_exec::{run_tasks, PoolOptions, TaskResult};
 
 /// One topology family plus its parameters — the unit every study
 /// driver operates on.
@@ -328,19 +328,6 @@ fn apply_corner(circuit: &mut Circuit, corner: &Corner) {
     }
 }
 
-fn pool_outcome(outcome: &TaskOutcome<StudyOutcome>) -> StudyOutcome {
-    match outcome {
-        TaskOutcome::Done(s) => s.clone(),
-        TaskOutcome::Failed(trace) => StudyOutcome::Failed(trace.clone()),
-        TaskOutcome::TimedOut {
-            attempts,
-            budget_ms,
-        } => StudyOutcome::Failed(format!(
-            "timed out: {attempts} attempt(s) exhausted {budget_ms} ms"
-        )),
-    }
-}
-
 fn run_study<F>(
     family: &Family,
     labels: Vec<String>,
@@ -368,28 +355,25 @@ where
         },
         |_, outcome| {
             remix_telemetry::counter_add(
-                match pool_outcome(outcome) {
-                    StudyOutcome::Ok(_) => remix_telemetry::names::TOPO_STUDY_SAMPLES_OK,
-                    StudyOutcome::Failed(_) => remix_telemetry::names::TOPO_STUDY_SAMPLES_FAILED,
+                match outcome {
+                    Ok(StudyOutcome::Ok(_)) => remix_telemetry::names::TOPO_STUDY_SAMPLES_OK,
+                    _ => remix_telemetry::names::TOPO_STUDY_SAMPLES_FAILED,
                 },
                 1,
             );
         },
     );
-    let mut slots: Vec<Option<StudyOutcome>> = vec![None; labels.len()];
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(pool_outcome(outcome));
-    }
+    let total = labels.len();
     let outcomes = labels
         .into_iter()
-        .zip(slots)
+        .zip(run.into_slots(total))
         .map(|(label, slot)| {
-            (
-                label,
-                slot.unwrap_or_else(|| {
-                    StudyOutcome::Failed("interrupted before the sample ran".into())
-                }),
-            )
+            let outcome = match slot {
+                Some(Ok(outcome)) => outcome,
+                Some(Err(trace)) => StudyOutcome::Failed(trace),
+                None => StudyOutcome::Failed("interrupted before the sample ran".into()),
+            };
+            (label, outcome)
         })
         .collect();
     Ok(TopoStudy {

@@ -26,7 +26,7 @@ use crate::error::TopoError;
 use crate::mixer_first::{LoMode, MixerFirstParams};
 use crate::FAMILY_MIXER_FIRST;
 use remix_analysis::{tran_plan, transient, TranOptions};
-use remix_exec::{run_tasks, PoolOptions, TaskOutcome, TaskResult};
+use remix_exec::{run_tasks, PoolOptions, TaskResult};
 use remix_numerics::Complex;
 
 /// Configuration of the LO sweep.
@@ -257,30 +257,16 @@ pub fn input_impedance_vs_lo(
         },
         |_, _| {},
     );
-    let mut slots: Vec<Option<ZinOutcome>> = vec![None; bins.len()];
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(match outcome {
-            TaskOutcome::Done(Ok(z)) => ZinOutcome::Ok(*z),
-            TaskOutcome::Done(Err(msg)) => ZinOutcome::Failed(msg.clone()),
-            TaskOutcome::Failed(trace) => ZinOutcome::Failed(trace.clone()),
-            TaskOutcome::TimedOut {
-                attempts,
-                budget_ms,
-            } => ZinOutcome::Failed(format!(
-                "timed out: {attempts} attempt(s) exhausted {budget_ms} ms"
-            )),
-        });
-    }
     let points = bins
         .iter()
-        .zip(slots)
+        .zip(run.into_slots(bins.len()))
         .map(|(&b, slot)| {
-            (
-                b as f64 * cfg.f_grid,
-                slot.unwrap_or_else(|| {
-                    ZinOutcome::Failed("interrupted before the point ran".into())
-                }),
-            )
+            let outcome = match slot {
+                Some(Ok(Ok(z))) => ZinOutcome::Ok(z),
+                Some(Ok(Err(msg)) | Err(msg)) => ZinOutcome::Failed(msg),
+                None => ZinOutcome::Failed("interrupted before the point ran".into()),
+            };
+            (b as f64 * cfg.f_grid, outcome)
         })
         .collect();
     Ok(ZinSweep { f_rf, points })
