@@ -232,6 +232,31 @@ pub(crate) fn factor<T: remix_numerics::Scalar>(
     remix_numerics::SparseLu::factor(m)
 }
 
+/// Factors through the same hook as [`factor`], as a values-only
+/// [`SparseLu::refactor`](remix_numerics::SparseLu::refactor) of the LU in
+/// `lu` when `numeric` is set, and as a fresh factorization otherwise or
+/// when the refactor declines. Either way it is one hooked event, so an
+/// armed [`FaultKind::SingularPivot`] window counts the same events
+/// whichever path runs.
+pub(crate) fn refactor<'a, T: remix_numerics::Scalar>(
+    lu: &'a mut Option<remix_numerics::SparseLu<T>>,
+    m: &remix_numerics::CsrMatrix<T>,
+    numeric: bool,
+) -> Result<&'a remix_numerics::SparseLu<T>, remix_numerics::FactorError> {
+    if fail_factor() {
+        return Err(remix_numerics::FactorError::Singular { step: 0 });
+    }
+    let refactored = match lu.take() {
+        Some(mut old) if numeric => old.refactor(m)?.then_some(old),
+        _ => None,
+    };
+    let next = match refactored {
+        Some(old) => old,
+        None => remix_numerics::SparseLu::factor(m)?,
+    };
+    Ok(lu.insert(next))
+}
+
 #[cfg(all(test, feature = "fault-inject"))]
 mod tests {
     use super::*;

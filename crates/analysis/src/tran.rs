@@ -12,13 +12,17 @@
 
 use crate::convergence::{AttemptOutcome, ConvergenceTrace, StageAttempt, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
-use crate::op::{dc_operating_point, structural_diagnosis, OpOptions, OperatingPoint};
+use crate::op::{
+    dc_operating_point, structural_diagnosis, LinearSolverKind, OpOptions, OperatingPoint,
+};
 use crate::partial::{Interrupted, Partial};
 use crate::stamp::{
     assemble_real, cap_companion_current, mos_cap_branches, CapState, ElementState, RealMode,
 };
 use remix_circuit::{Circuit, Element, MnaLayout, Node};
-use remix_numerics::{FactorError, IntegrationMethod, TripletMatrix};
+use remix_numerics::{
+    CsrPattern, FactorError, IntegrationMethod, LuFactor, SparseLu, TripletMatrix,
+};
 
 /// Options controlling a transient run.
 #[derive(Debug, Clone)]
@@ -153,6 +157,18 @@ struct Integrator<'a> {
     mos_caps: Vec<Option<remix_circuit::MosCaps>>,
     x: Vec<f64>,
     opts: &'a TranOptions,
+    /// Newton scaffolding reused by every step: the assembled system,
+    /// its right-hand side and the iterate.
+    m: TripletMatrix<f64>,
+    rhs: Vec<f64>,
+    x_iter: Vec<f64>,
+    /// The triplet→CSR map of the run's fixed MNA pattern.
+    pattern: CsrPattern<f64>,
+    /// The sparse LU of the last factorization, kept for numeric refactors.
+    lu: Option<SparseLu<f64>>,
+    /// Set once the run has accepted its first step; from then on sparse
+    /// factorizations are values-only refactors of `lu`.
+    refactor: bool,
 }
 
 impl<'a> Integrator<'a> {
@@ -186,13 +202,20 @@ impl<'a> Integrator<'a> {
             };
             states.push(st);
         }
+        let dim = layout.dim();
         Ok(Integrator {
             circuit,
             layout,
             states,
             mos_caps: op.mos_caps,
+            x_iter: x.clone(),
             x,
             opts,
+            m: TripletMatrix::new(dim, dim),
+            rhs: vec![0.0; dim],
+            pattern: CsrPattern::new(),
+            lu: None,
+            refactor: false,
         })
     }
 
@@ -201,9 +224,8 @@ impl<'a> Integrator<'a> {
     fn step(&mut self, t: f64, h: f64, method: IntegrationMethod) -> Result<(), AnalysisError> {
         let coeffs = method.coeffs(h);
         let dim = self.layout.dim();
-        let mut m = TripletMatrix::<f64>::new(dim, dim);
-        let mut rhs = vec![0.0; dim];
-        let mut x = self.x.clone();
+        self.x_iter.copy_from_slice(&self.x);
+        let x = &mut self.x_iter;
 
         let mut attempt = StageAttempt::new(TraceStage::TranStep { t, h });
         attempt.gmin = self.opts.gmin;
@@ -254,14 +276,27 @@ impl<'a> Integrator<'a> {
             assemble_real(
                 self.circuit,
                 &self.layout,
-                &x,
+                x,
                 &mode,
-                &mut m,
-                &mut rhs,
+                &mut self.m,
+                &mut self.rhs,
                 None,
             );
-            let lu = match crate::fault::factor(&m.to_csr()) {
-                Ok(lu) => lu,
+            let csr = self.pattern.convert(&self.m);
+            let rhs = &self.rhs;
+            let solved = match self.opts.op_options.solver {
+                LinearSolverKind::Sparse => {
+                    crate::fault::refactor(&mut self.lu, csr, self.refactor)
+                        .map(|lu| (lu.rcond_estimate(), lu.solve(rhs)))
+                }
+                // The dense reference factors afresh and bypasses the
+                // fault hook, as the operating-point oracle does.
+                LinearSolverKind::Dense => {
+                    LuFactor::factor(&csr.to_dense()).map(|lu| (lu.rcond_estimate(), lu.solve(rhs)))
+                }
+            };
+            let (rcond, x_new) = match solved {
+                Ok(s) => s,
                 Err(FactorError::Budget(i)) => {
                     attempt.outcome = AttemptOutcome::Interrupted(i);
                     let mut trace = ConvergenceTrace::new("transient step");
@@ -284,8 +319,8 @@ impl<'a> Integrator<'a> {
                     return Err(fail(attempt, outcome, Some(e)));
                 }
             };
-            attempt.rcond = Some(lu.rcond_estimate());
-            let x_new = match lu.solve(&rhs) {
+            attempt.rcond = Some(rcond);
+            let x_new = match x_new {
                 Ok(v) => v,
                 Err(e) => return Err(fail(attempt, AttemptOutcome::NotFinite, Some(e))),
             };
@@ -312,6 +347,8 @@ impl<'a> Integrator<'a> {
         }
 
         // Commit dynamic states.
+        std::mem::swap(&mut self.x, &mut self.x_iter);
+        let x = &self.x;
         for (idx, e) in self.circuit.elements().iter().enumerate() {
             let eid = remix_circuit::ElementId::from_index(idx);
             match e {
@@ -319,7 +356,7 @@ impl<'a> Integrator<'a> {
                     let ElementState::Cap(st) = &mut self.states[idx] else {
                         unreachable!() // audit: allow(AUD002): states are built in lockstep with elements
                     };
-                    let v_new = self.layout.voltage(&x, *a) - self.layout.voltage(&x, *b);
+                    let v_new = self.layout.voltage(x, *a) - self.layout.voltage(x, *b);
                     let i_new = cap_companion_current(*c, &coeffs, v_new, st);
                     st.v = v_new;
                     st.i = i_new;
@@ -328,8 +365,8 @@ impl<'a> Integrator<'a> {
                     let ElementState::Ind(st) = &mut self.states[idx] else {
                         unreachable!() // audit: allow(AUD002): states are built in lockstep with elements
                     };
-                    st.i = self.layout.branch_current(&x, eid);
-                    st.v = self.layout.voltage(&x, *a) - self.layout.voltage(&x, *b);
+                    st.i = self.layout.branch_current(x, eid);
+                    st.v = self.layout.voltage(x, *a) - self.layout.voltage(x, *b);
                 }
                 Element::Mos { dev, .. } => {
                     let ElementState::MosCaps(sts) = &mut self.states[idx] else {
@@ -338,7 +375,7 @@ impl<'a> Integrator<'a> {
                     if let Some(caps) = &self.mos_caps[idx] {
                         let branches = mos_cap_branches(dev.d, dev.g, dev.s, dev.b, caps);
                         for (k, (a, b, c)) in branches.iter().enumerate() {
-                            let v_new = self.layout.voltage(&x, *a) - self.layout.voltage(&x, *b);
+                            let v_new = self.layout.voltage(x, *a) - self.layout.voltage(x, *b);
                             if *c > 0.0 {
                                 sts[k].i = cap_companion_current(*c, &coeffs, v_new, &sts[k]);
                             }
@@ -349,7 +386,7 @@ impl<'a> Integrator<'a> {
                 _ => {}
             }
         }
-        self.x = x;
+        self.refactor = true;
         Ok(())
     }
 
@@ -869,6 +906,42 @@ mod tests {
             partial.value.voltage_waveform(out),
             full.voltage_waveform(out)
         );
+    }
+
+    /// A singular pivot injected into a numeric refactor fails the step
+    /// with the same typed error as one in a fresh factorization.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn singular_refactor_fails_like_a_fresh_factorization() {
+        let (c, _) = rc_fixture();
+        let h = 1e-8;
+        // Factor events of the operating point and the first step, which
+        // always factors afresh.
+        let telemetry = remix_telemetry::Telemetry::new();
+        {
+            let _armed = telemetry.arm();
+            transient(&c, &TranOptions::new(1.4 * h, h)).unwrap();
+        }
+        let fresh = telemetry
+            .snapshot()
+            .counter(remix_telemetry::names::LU_FACTORIZATIONS)
+            .unwrap();
+        let _guard = crate::fault::FaultPlan::singular_pivot()
+            .starting_at(fresh)
+            .for_events(1)
+            .arm();
+        match transient(&c, &TranOptions::new(1e-6, h)) {
+            Err(AnalysisError::Singular { trace, .. }) => {
+                assert_eq!(trace.analysis, "transient step");
+                match trace.attempts[0].stage {
+                    TraceStage::TranStep { t, .. } => {
+                        assert!((t - 2.0 * h).abs() < 1e-3 * h, "failed at t = {t:.3e}")
+                    }
+                    other => panic!("expected a transient-step stage, got {other:?}"),
+                }
+            }
+            other => panic!("expected Singular with a tran-step trace, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   serve both the real (DC/transient) and complex (AC) MNA systems;
 //! * [`DenseMatrix`] / [`LuFactor`] — dense storage and LU with partial
 //!   pivoting;
-//! * [`TripletMatrix`] / [`CsrMatrix`] / [`SparseLu`] — sparse stamping and
-//!   a threshold-pivoting sparse LU;
+//! * [`TripletMatrix`] / [`CsrMatrix`] / [`CsrPattern`] / [`SparseLu`] —
+//!   sparse stamping, a pattern-caching CSR conversion and a
+//!   threshold-pivoting sparse LU with a values-only refactor;
 //! * [`IntegrationMethod`] — companion-model coefficients and LTE
 //!   estimation for the transient engine;
 //! * root finding ([`roots`]), least squares ([`fit`]), interpolation
@@ -56,4 +57,4 @@ pub use integrate::{rk4, CompanionCoeffs, IntegrationMethod, LteEstimator};
 pub use lu::{solve_dense, FactorError, LuFactor};
 pub use roots::{bisect, brent, RootError};
 pub use scalar::Scalar;
-pub use sparse::{CsrMatrix, SparseLu, TripletMatrix};
+pub use sparse::{CsrMatrix, CsrPattern, SparseLu, TripletMatrix};

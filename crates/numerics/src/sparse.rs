@@ -7,9 +7,12 @@
 //! * [`TripletMatrix`] — a coordinate-format accumulator that element stamps
 //!   write into;
 //! * [`CsrMatrix`] — compressed sparse row storage with fast mat-vec;
+//! * [`CsrPattern`] — a triplet→CSR conversion that remembers where each
+//!   push lands, so repeated assembly of one pattern skips the sort;
 //! * [`SparseLu`] — an LU factorization with threshold partial pivoting,
 //!   operating on row linked-lists with a scattered working row (the
-//!   classic right-looking "GP"-style elimination).
+//!   classic right-looking "GP"-style elimination), plus a values-only
+//!   [`SparseLu::refactor`] that keeps the pivot order.
 //!
 //! The sparse solver is validated against the dense one in tests and by
 //! property tests at the crate boundary.
@@ -125,6 +128,98 @@ impl<T: Scalar> TripletMatrix<T> {
     }
 }
 
+/// A triplet→CSR conversion that remembers where each push lands.
+///
+/// MNA assembly pushes the same `(row, col)` sequence on every Newton
+/// iteration; only the values change. The first [`convert`](Self::convert)
+/// runs [`TripletMatrix::to_csr`] and records the value slot of every
+/// push. Later calls zero the values and add each push into its slot in
+/// push order, so duplicates sum in the same order as `to_csr`. Every call
+/// checks the push sequence against the recorded one and rebuilds the map
+/// on any mismatch.
+///
+/// # Examples
+///
+/// ```
+/// use remix_numerics::{CsrPattern, TripletMatrix};
+///
+/// let mut t = TripletMatrix::new(2, 2);
+/// let mut pattern = CsrPattern::new();
+/// for v in [1.0, 2.0] {
+///     t.clear();
+///     t.push(0, 0, v);
+///     t.push(0, 0, v);
+///     t.push(1, 1, 5.0);
+///     assert_eq!(pattern.convert(&t), &t.to_csr());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct CsrPattern<T> {
+    /// `(row, col, value slot)` of every recorded push, in push order.
+    slots: Vec<(usize, usize, usize)>,
+    csr: CsrMatrix<T>,
+}
+
+impl<T: Scalar> Default for CsrPattern<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Scalar> CsrPattern<T> {
+    /// An empty map; the first conversion records the pattern.
+    pub fn new() -> Self {
+        CsrPattern {
+            slots: Vec::new(),
+            csr: CsrMatrix {
+                rows: 0,
+                cols: 0,
+                row_ptr: vec![0],
+                col_idx: Vec::new(),
+                values: Vec::new(),
+            },
+        }
+    }
+
+    /// Converts `t` to CSR, equal to `t.to_csr()`.
+    pub fn convert(&mut self, t: &TripletMatrix<T>) -> &CsrMatrix<T> {
+        if !self.refill(t) {
+            self.rebuild(t);
+        }
+        &self.csr
+    }
+
+    /// Adds the pushes of `t` into their recorded slots; `false` when the
+    /// push sequence differs from the recorded one.
+    fn refill(&mut self, t: &TripletMatrix<T>) -> bool {
+        if (t.rows, t.cols, t.entries.len()) != (self.csr.rows, self.csr.cols, self.slots.len()) {
+            return false;
+        }
+        let values = &mut self.csr.values;
+        values.fill(T::zero());
+        for (&(r, c, v), &(sr, sc, slot)) in t.entries.iter().zip(&self.slots) {
+            if (r, c) != (sr, sc) {
+                return false;
+            }
+            values[slot] += v;
+        }
+        true
+    }
+
+    fn rebuild(&mut self, t: &TripletMatrix<T>) {
+        self.csr = t.to_csr();
+        let csr = &self.csr;
+        self.slots.clear();
+        self.slots.extend(t.entries.iter().map(|&(r, c, _)| {
+            let lo = csr.row_ptr[r];
+            let Ok(k) = csr.col_idx[lo..csr.row_ptr[r + 1]].binary_search(&c) else {
+                unreachable!("to_csr stores every pushed entry"); // audit: allow(AUD002): to_csr keeps every pushed position, so the search cannot miss
+            };
+            (r, c, lo + k)
+        }));
+    }
+}
+
 /// Compressed sparse row matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix<T> {
@@ -207,6 +302,10 @@ impl<T: Scalar> CsrMatrix<T> {
 /// current row into a dense working buffer, updates, and gathers back. For
 /// the matrix sizes the simulator produces (≲ a few hundred unknowns) this
 /// is both simple and fast, while preserving sparsity where it exists.
+///
+/// [`factor`](Self::factor) chooses the pivot order afresh;
+/// [`refactor`](Self::refactor) keeps it and only recomputes values, for a
+/// matrix of the same pattern whose values moved.
 #[derive(Debug, Clone)]
 pub struct SparseLu<T> {
     n: usize,
@@ -221,10 +320,30 @@ pub struct SparseLu<T> {
     perm: Vec<usize>,
     /// Largest |a_ij| of the factored matrix (for pivot-growth estimates).
     scale: f64,
+    /// Set once [`refactor`](Self::refactor) has replaced the pattern of
+    /// `lower`/`upper` by the structural pattern of this pivot order.
+    symbolic: Option<Symbolic<T>>,
+}
+
+/// The CSR structure a structural L/U pattern was computed for, and the
+/// scatter buffer of the numeric phase.
+#[derive(Debug, Clone)]
+struct Symbolic<T> {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    work: Vec<T>,
 }
 
 /// Pivot tolerance relative to the largest candidate in the column.
 const PIVOT_THRESHOLD: f64 = 1e-3;
+
+/// Counts a declined [`SparseLu::refactor`] and returns its `false`.
+fn declined() -> bool {
+    if remix_telemetry::is_armed() {
+        remix_telemetry::counter_add(remix_telemetry::names::LU_REFACTOR_DECLINES, 1);
+    }
+    false
+}
 /// Magnitude below which an eliminated fill-in entry is dropped.
 const DROP_TOL: f64 = 0.0; // keep everything: exactness over speed
 
@@ -353,13 +472,148 @@ impl<T: Scalar> SparseLu<T> {
             upper,
             perm,
             scale,
+            symbolic: None,
         };
+        lu.record();
+        Ok(lu)
+    }
+
+    /// Refactors a matrix of the same dimension in place, keeping the row
+    /// permutation of the last fresh [`factor`](Self::factor) and only
+    /// recomputing values, in the same operation order as `factor`.
+    ///
+    /// The first call computes the structural L/U pattern of that order
+    /// (exact zeros are not dropped, so it fits every later value set of
+    /// the same CSR structure); a matrix of another structure recomputes
+    /// it. Returns `Ok(false)` — *declined* — when a multiplier exceeds
+    /// `1/PIVOT_THRESHOLD` (where `factor`'s threshold pivoting would have
+    /// rejected the pivot) or a pivot fails the `factor` singularity test;
+    /// the factors are then left partly updated, and only a successful
+    /// refactor or a fresh `factor` makes them fit to solve with again.
+    ///
+    /// # Errors
+    ///
+    /// As for [`factor`](Self::factor), except that a singular pivot
+    /// declines instead: [`FactorError::Budget`],
+    /// [`FactorError::NotSquare`], [`FactorError::NotFinite`].
+    pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<bool, FactorError> {
+        remix_exec::check_matrix_dim(a.rows()).map_err(FactorError::Budget)?;
+        if a.rows() != a.cols() {
+            return Err(FactorError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        if !a.values.iter().all(|v| v.is_finite_scalar()) {
+            return Err(FactorError::NotFinite);
+        }
+        if a.rows() != self.n {
+            return Ok(declined());
+        }
+        let scale = a
+            .values
+            .iter()
+            .map(|v| v.magnitude())
+            .fold(0.0, f64::max)
+            .max(f64::MIN_POSITIVE);
+        let mut sym = match self.symbolic.take() {
+            Some(sym) if sym.row_ptr == a.row_ptr && sym.col_idx == a.col_idx => sym,
+            _ => self.symbolize(a),
+        };
+        let done = self.eliminate(a, &mut sym.work, scale);
+        self.symbolic = Some(sym);
+        if !done {
+            return Ok(declined());
+        }
+        self.scale = scale;
+        self.record();
+        Ok(true)
+    }
+
+    /// The numeric phase of [`refactor`](Self::refactor): row by row in
+    /// pivot order, scatters `a`'s row into `work` (all zero on entry and
+    /// on return), eliminates it by the finished upper rows and gathers
+    /// the multipliers and the new upper row. `false` at the first
+    /// multiplier or pivot that fails its test.
+    fn eliminate(&mut self, a: &CsrMatrix<T>, work: &mut [T], scale: f64) -> bool {
+        let max_mult = 1.0 / PIVOT_THRESHOLD;
+        for i in 0..self.n {
+            for (c, v) in a.row(self.perm[i]) {
+                work[c] = v;
+            }
+            let (done, rest) = self.upper.split_at_mut(i);
+            for entry in self.lower[i].iter_mut() {
+                let k = entry.0;
+                let pivot_row = &done[k];
+                let mult = work[k] / pivot_row[0].1;
+                work[k] = T::zero();
+                if mult.magnitude() > max_mult {
+                    work.fill(T::zero());
+                    return false;
+                }
+                entry.1 = mult;
+                for &(c, v) in &pivot_row[1..] {
+                    work[c] -= mult * v;
+                }
+            }
+            for entry in rest[0].iter_mut() {
+                entry.1 = work[entry.0];
+                work[entry.0] = T::zero();
+            }
+            if rest[0][0].1.magnitude() <= 1e-13 * scale {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Replaces the pattern of `lower`/`upper` by the structural pattern
+    /// of `a` under the current row permutation: row `i` starts from the
+    /// columns of `a`'s row `perm[i]` and gains the columns of every upper
+    /// row it is eliminated by. The diagonal is always stored, first in
+    /// its upper row.
+    fn symbolize(&mut self, a: &CsrMatrix<T>) -> Symbolic<T> {
+        let n = self.n;
+        let mut mark = vec![false; n];
+        for i in 0..n {
+            for (c, _) in a.row(self.perm[i]) {
+                mark[c] = true;
+            }
+            mark[i] = true;
+            let mut lower = Vec::new();
+            for k in 0..i {
+                if mark[k] {
+                    mark[k] = false;
+                    lower.push((k, T::zero()));
+                    for &(c, _) in &self.upper[k][1..] {
+                        mark[c] = true;
+                    }
+                }
+            }
+            let mut upper = Vec::new();
+            for (c, m) in mark.iter_mut().enumerate().skip(i) {
+                if *m {
+                    *m = false;
+                    upper.push((c, T::zero()));
+                }
+            }
+            self.lower[i] = lower;
+            self.upper[i] = upper;
+        }
+        Symbolic {
+            row_ptr: a.row_ptr.clone(),
+            col_idx: a.col_idx.clone(),
+            work: vec![T::zero(); n],
+        }
+    }
+
+    /// Counts one factorization and sets the fill and condition gauges.
+    fn record(&self) {
         if remix_telemetry::is_armed() {
             remix_telemetry::counter_add(remix_telemetry::names::LU_FACTORIZATIONS, 1);
-            remix_telemetry::gauge_set(remix_telemetry::names::LU_FILL_NNZ, lu.fill_nnz() as f64);
-            remix_telemetry::gauge_set(remix_telemetry::names::LU_RCOND, lu.rcond_estimate());
+            remix_telemetry::gauge_set(remix_telemetry::names::LU_FILL_NNZ, self.fill_nnz() as f64);
+            remix_telemetry::gauge_set(remix_telemetry::names::LU_RCOND, self.rcond_estimate());
         }
-        Ok(lu)
     }
 
     /// Dimension of the factored system.
@@ -367,7 +621,10 @@ impl<T: Scalar> SparseLu<T> {
         self.n
     }
 
-    /// Number of stored entries in L plus U (fill measure).
+    /// Number of stored entries in L plus U (fill measure). After a fresh
+    /// [`factor`](Self::factor) these are its nonzeros; after a
+    /// [`refactor`](Self::refactor) they are the structural pattern, which
+    /// may hold exact zeros.
     pub fn fill_nnz(&self) -> usize {
         self.lower.iter().map(Vec::len).sum::<usize>()
             + self.upper.iter().map(Vec::len).sum::<usize>()
@@ -628,5 +885,211 @@ mod tests {
         t.clear();
         assert_eq!(t.raw_len(), 0);
         assert_eq!(t.to_csr().nnz(), 0);
+    }
+
+    /// A random sparse pattern of dimension `n` fixed by `seed`: a
+    /// diagonal in [5, 6) and three off-diagonal pushes per row of
+    /// magnitude [0.5, 1.5) and random sign. `perturb` scales every value
+    /// by `1 + perturb·u`, `u` uniform in [-1, 0).
+    fn random_system(n: usize, seed: u64, perturb: f64) -> TripletMatrix<f64> {
+        let mut pat = seed;
+        let mut val = seed ^ 0x9E37_79B9_7F4A_7C15;
+        let mut t = TripletMatrix::new(n, n);
+        for r in 0..n {
+            let d = 6.0 + lcg(&mut val);
+            t.push(r, r, d * (1.0 + perturb * lcg(&mut val)));
+            for _ in 0..3 {
+                let c = ((lcg(&mut pat) + 1.0) * n as f64) as usize;
+                let sign = if lcg(&mut pat) < -0.5 { -1.0 } else { 1.0 };
+                let v = sign * (1.5 + lcg(&mut val));
+                t.push(r, c.min(n - 1), v * (1.0 + perturb * lcg(&mut val)));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn pattern_conversion_matches_to_csr() {
+        let mut pattern = CsrPattern::new();
+        for (k, perturb) in [0.0, 0.1, 0.3].into_iter().enumerate() {
+            let t = random_system(15, 7, perturb);
+            assert_eq!(pattern.convert(&t), &t.to_csr(), "conversion {k}");
+        }
+    }
+
+    #[test]
+    fn pattern_conversion_rebuilds_on_a_new_push_sequence() {
+        let mut pattern = CsrPattern::new();
+        let mut t = TripletMatrix::new(3, 3);
+        t.push(0, 0, 1.0);
+        t.push(2, 1, 2.0);
+        assert_eq!(pattern.convert(&t), &t.to_csr());
+        // Same length, another position.
+        t.clear();
+        t.push(0, 0, 1.0);
+        t.push(1, 2, 2.0);
+        assert_eq!(pattern.convert(&t), &t.to_csr());
+        // Longer, with a duplicate summed in push order.
+        t.push(1, 2, 0.5);
+        let csr = pattern.convert(&t).clone();
+        assert_eq!(csr, t.to_csr());
+        assert_eq!(csr.get(1, 2), 2.5);
+        // Another shape.
+        let mut wide = TripletMatrix::new(3, 4);
+        wide.push(0, 0, 1.0);
+        wide.push(1, 2, 2.0);
+        wide.push(1, 2, 0.5);
+        assert_eq!(pattern.convert(&wide), &wide.to_csr());
+    }
+
+    /// Solves with both factors and checks the solutions agree to `tol`
+    /// relative to the largest entry.
+    fn assert_same_solution<T: Scalar + std::fmt::Debug>(
+        a: &SparseLu<T>,
+        b: &SparseLu<T>,
+        rhs: &[T],
+        tol: f64,
+    ) {
+        let (xa, xb) = (a.solve(rhs).unwrap(), b.solve(rhs).unwrap());
+        let scale = xb.iter().map(|v| v.magnitude()).fold(1.0, f64::max);
+        for (u, v) in xa.iter().zip(&xb) {
+            assert!((*u - *v).magnitude() <= tol * scale, "{u:?} vs {v:?}");
+        }
+    }
+
+    #[test]
+    fn refactor_matches_a_fresh_factor_on_perturbed_values() {
+        for seed in 1..=20u64 {
+            let n = 10 + (seed as usize % 3) * 10;
+            let base = random_system(n, seed, 0.0);
+            let mut lu = SparseLu::factor(&base.to_csr()).unwrap();
+            let mut state = seed;
+            let rhs: Vec<f64> = (0..n).map(|_| lcg(&mut state)).collect();
+            for round in 1..=3 {
+                let moved = random_system(n, seed, 0.05 * round as f64).to_csr();
+                assert!(lu.refactor(&moved).unwrap(), "seed {seed} round {round}");
+                let fresh = SparseLu::factor(&moved).unwrap();
+                if fresh.perm == lu.perm {
+                    // Same pivot order: the same operations, bit for bit.
+                    assert_eq!(lu.solve(&rhs).unwrap(), fresh.solve(&rhs).unwrap());
+                } else {
+                    // Threshold pivoting lets either order grow entries by
+                    // up to its pivot growth, which scales its round-off.
+                    let growth = 1.0 / lu.recip_pivot_growth().min(fresh.recip_pivot_growth());
+                    assert_same_solution(&lu, &fresh, &rhs, 1e-12 * growth);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refactor_of_the_same_values_reproduces_factor_exactly() {
+        let csr = random_system(20, 3, 0.0).to_csr();
+        let fresh = SparseLu::factor(&csr).unwrap();
+        let mut lu = fresh.clone();
+        assert!(lu.refactor(&csr).unwrap());
+        let mut state = 11u64;
+        let rhs: Vec<f64> = (0..20).map(|_| lcg(&mut state)).collect();
+        assert_eq!(lu.solve(&rhs).unwrap(), fresh.solve(&rhs).unwrap());
+        assert_eq!(lu.rcond_estimate(), fresh.rcond_estimate());
+    }
+
+    #[test]
+    fn refactor_declines_a_multiplier_past_the_threshold() {
+        let system = |a00: f64| {
+            let mut t = TripletMatrix::new(2, 2);
+            t.push(0, 0, a00);
+            t.push(0, 1, 1.0);
+            t.push(1, 0, 1.0);
+            t.push(1, 1, 1.0);
+            t.to_csr()
+        };
+        let mut lu = SparseLu::factor(&system(2.0)).unwrap();
+        assert!(lu.refactor(&system(1.5)).unwrap());
+        // |l| = 1 / 1e-5 > 1 / PIVOT_THRESHOLD: factor would pivot.
+        assert!(!lu.refactor(&system(1e-5)).unwrap());
+        // The decline left the scatter buffer clean: a fresh order of the
+        // same structure refactors again.
+        let mut lu = SparseLu::factor(&system(2.0)).unwrap();
+        assert!(!lu.refactor(&system(1e-5)).unwrap());
+        assert!(lu.refactor(&system(1.5)).unwrap());
+        let x = lu.solve(&[1.0, 2.0]).unwrap();
+        let r = vecops::sub(&system(1.5).mat_vec(&x), &[1.0, 2.0]);
+        assert!(vecops::norm_inf(&r) < 1e-12, "residual {r:?}");
+    }
+
+    #[test]
+    fn refactor_declines_a_singular_pivot() {
+        let mut t = TripletMatrix::new(2, 2);
+        t.push(0, 0, 1.0);
+        t.push(0, 1, 2.0);
+        t.push(1, 0, 0.5);
+        t.push(1, 1, 3.0);
+        let mut lu = SparseLu::factor(&t.to_csr()).unwrap();
+        t.clear();
+        t.push(0, 0, 1.0);
+        t.push(0, 1, 2.0);
+        t.push(1, 0, 0.5);
+        t.push(1, 1, 1.0);
+        assert!(!lu.refactor(&t.to_csr()).unwrap());
+    }
+
+    #[test]
+    fn refactor_keeps_positions_that_cancelled_exactly() {
+        // Eliminating column 0 from row 2 cancels (2, 1) exactly in the
+        // first factorization, so `factor` stores no multiplier there.
+        let system = |a21: f64| {
+            let mut t = TripletMatrix::new(3, 3);
+            t.push(0, 0, 2.0);
+            t.push(0, 1, 1.0);
+            t.push(1, 1, 1.0);
+            t.push(1, 2, 1.0);
+            t.push(2, 0, 1.0);
+            t.push(2, 1, a21);
+            t.push(2, 2, 1.0);
+            t.to_csr()
+        };
+        let first = system(0.5);
+        let mut lu = SparseLu::factor(&first).unwrap();
+        let fresh_fill = lu.fill_nnz();
+        let moved = system(0.7);
+        assert!(lu.refactor(&moved).unwrap());
+        assert!(lu.fill_nnz() > fresh_fill, "structural pattern kept (2, 1)");
+        let b = [1.0, -2.0, 3.0];
+        let x = lu.solve(&b).unwrap();
+        let xd = solve_dense(&moved.to_dense(), &b).unwrap();
+        for (u, v) in x.iter().zip(&xd) {
+            assert!((u - v).abs() < 1e-12, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn refactor_works_on_a_complex_matrix() {
+        let system = |s: f64| {
+            let mut t = TripletMatrix::new(3, 3);
+            t.push(0, 0, Complex::new(1.0, s));
+            t.push(0, 2, Complex::ONE);
+            t.push(1, 0, Complex::new(0.5, -s));
+            t.push(1, 1, Complex::new(0.0, 2.0 + s));
+            t.push(2, 1, Complex::new(s, 1.0));
+            t.push(2, 2, Complex::new(3.0, 0.0));
+            t.to_csr()
+        };
+        let mut lu = SparseLu::factor(&system(0.25)).unwrap();
+        let moved = system(0.5);
+        assert!(lu.refactor(&moved).unwrap());
+        let b = [Complex::new(2.0, 0.0), Complex::new(0.0, 4.0), Complex::ONE];
+        assert_same_solution(&lu, &SparseLu::factor(&moved).unwrap(), &b, 1e-12);
+    }
+
+    #[test]
+    fn refactor_reports_a_nan_as_not_finite() {
+        let mut t = random_system(8, 5, 0.0);
+        let mut lu = SparseLu::factor(&t.to_csr()).unwrap();
+        t.push(3, 3, f64::NAN);
+        match lu.refactor(&t.to_csr()) {
+            Err(FactorError::NotFinite) => {}
+            other => panic!("expected NotFinite, got {other:?}"),
+        }
     }
 }

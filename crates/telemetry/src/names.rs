@@ -16,11 +16,16 @@
 
 /// Counter: matrix factorizations performed (dense and sparse LU).
 pub const LU_FACTORIZATIONS: &str = "remix.numerics.lu.factorizations";
-/// Gauge: non-zeros in the most recent sparse LU's filled factors.
+/// Gauge: entries stored in the most recent sparse LU's filled factors
+/// (after a values-only refactor, its structural pattern).
 pub const LU_FILL_NNZ: &str = "remix.numerics.lu.fill_nnz";
 /// Gauge: cheap `min|Uii|/max|Uii|` condition estimate of the most
 /// recent factorization.
 pub const LU_RCOND: &str = "remix.numerics.lu.rcond";
+/// Counter: values-only sparse LU refactors declined for a pivot that
+/// fails the threshold or singularity test (a fresh factorization
+/// follows).
+pub const LU_REFACTOR_DECLINES: &str = "remix.numerics.lu.refactor_declines";
 
 /// Span: one operating-point analysis.
 pub const ANALYSIS_OP: &str = "remix.analysis.op";
@@ -207,6 +212,7 @@ pub const ALL: &[&str] = &[
     LU_FACTORIZATIONS,
     LU_FILL_NNZ,
     LU_RCOND,
+    LU_REFACTOR_DECLINES,
     SERVE_CACHE_HITS,
     SERVE_CACHE_JOINS,
     SERVE_CACHE_MISSES,

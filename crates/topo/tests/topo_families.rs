@@ -161,6 +161,28 @@ fn npath_bandpass_peaks_at_the_lo() {
     }
 }
 
+/// Exact pin of the `npath_zin` sweep: the synthesized peak sits at
+/// f_LO = f_RF with |Z_in| = 110.7 Ω. A solver change that moves it by
+/// more than 0.1 Ω changed the transient, not just its speed.
+#[test]
+fn npath_peak_impedance_is_pinned() {
+    let cfg = ZinConfig::centered(1e6, 10, 4);
+    let sweep = input_impedance_vs_lo(
+        &MixerFirstParams::default(),
+        &cfg,
+        &remix_exec::PoolOptions::default(),
+    )
+    .expect("sweep");
+    assert_eq!(sweep.n_ok(), 9, "{}", sweep.summary_line());
+    let (f_peak, z_peak) = sweep.peak().expect("solved points");
+    assert!(
+        (f_peak - sweep.f_rf).abs() < 0.5 * cfg.f_grid,
+        "peak at {f_peak:.3e}, expected {:.3e}",
+        sweep.f_rf
+    );
+    assert!((z_peak - 110.7).abs() < 0.1, "peak |Z_in| {z_peak:.3} Ω");
+}
+
 #[test]
 fn emitted_family_decks_are_accepted_by_the_service() {
     use remix_serve::protocol::{JobKind, JobRequest};

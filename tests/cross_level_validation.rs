@@ -32,6 +32,11 @@ fn circuit_vs_behavioral_conv_gain_passive() {
         (circuit_db - model_db).abs() < 3.0,
         "circuit {circuit_db:.1} dB vs behavioral {model_db:.1} dB"
     );
+    // Exact pin of the transistor-level number itself.
+    assert!(
+        (circuit_db - 23.25).abs() < 0.01,
+        "passive circuit gain {circuit_db:.4} dB moved from 23.25 dB"
+    );
 }
 
 #[test]
@@ -47,6 +52,11 @@ fn circuit_vs_behavioral_conv_gain_active() {
     assert!(
         (circuit_db - model_db).abs() < 3.0,
         "circuit {circuit_db:.1} dB vs behavioral {model_db:.1} dB"
+    );
+    // Exact pin of the transistor-level number itself.
+    assert!(
+        (circuit_db - 28.49).abs() < 0.01,
+        "active circuit gain {circuit_db:.4} dB moved from 28.49 dB"
     );
 }
 
