@@ -45,6 +45,7 @@ pub mod convergence;
 pub mod dcsweep;
 pub mod error;
 pub mod fault;
+mod newton;
 pub mod op;
 pub mod partial;
 pub mod plan;
@@ -66,9 +67,7 @@ pub use dcsweep::{dc_sweep, dc_sweep_parallel, dc_sweep_partial, DcSweepResult};
 pub use error::{AnalysisError, PartialProgress};
 #[cfg(feature = "fault-inject")]
 pub use fault::{active_plan, FaultGuard, FaultKind, FaultPlan};
-pub use op::{
-    dc_operating_point, dc_operating_point_dense, LinearSolverKind, OpOptions, OperatingPoint,
-};
+pub use op::{dc_operating_point, LinearSolverKind, OpOptions, OperatingPoint};
 pub use partial::{FirstTrace, Interrupted, Partial};
 pub use plan::{fastest_stimulus, noise_plan, pss_plan, sweep_plan, tran_plan};
 pub use power::{supply_power, PowerReport};

@@ -14,13 +14,12 @@
 //! [`AnalysisError`] on failure.
 
 use crate::convergence::{
-    AttemptOutcome, ConvergencePolicy, ConvergenceTrace, StageAttempt, StageKind, TraceStage,
-    ILL_CONDITION_RCOND,
+    ConvergencePolicy, ConvergenceTrace, StageAttempt, StageKind, TraceStage, ILL_CONDITION_RCOND,
 };
 use crate::error::{AnalysisError, PartialProgress};
+use crate::newton::{Limits, Newton, Stop};
 use crate::stamp::{assemble_real, RealMode};
 use remix_circuit::{Circuit, Element, ElementId, MnaLayout, MosCaps, MosEval, Node};
-use remix_numerics::{FactorError, LuFactor, SparseLu, TripletMatrix};
 
 /// Which linear-algebra path factors the MNA system each Newton step.
 ///
@@ -66,39 +65,6 @@ impl Default for OpOptions {
             policy: ConvergencePolicy::default(),
             solver: LinearSolverKind::default(),
         }
-    }
-}
-
-/// One factored MNA system, behind either linear-algebra path.
-enum Factored {
-    Sparse(SparseLu<f64>),
-    Dense(LuFactor<f64>),
-}
-
-impl Factored {
-    fn rcond_estimate(&self) -> f64 {
-        match self {
-            Factored::Sparse(lu) => lu.rcond_estimate(),
-            Factored::Dense(lu) => lu.rcond_estimate(),
-        }
-    }
-
-    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, FactorError> {
-        match self {
-            Factored::Sparse(lu) => lu.solve(b),
-            Factored::Dense(lu) => lu.solve(b),
-        }
-    }
-}
-
-/// Factors the assembled system through the selected path. The sparse
-/// path keeps the fault-injection hook; the dense reference path
-/// deliberately bypasses it so the oracle's two solves fail
-/// independently.
-fn factor_system(m: &TripletMatrix<f64>, kind: LinearSolverKind) -> Result<Factored, FactorError> {
-    match kind {
-        LinearSolverKind::Sparse => crate::fault::factor(&m.to_csr()).map(Factored::Sparse),
-        LinearSolverKind::Dense => LuFactor::factor(&m.to_csr().to_dense()).map(Factored::Dense),
     }
 }
 
@@ -175,289 +141,77 @@ pub fn structural_diagnosis(circuit: &Circuit) -> Vec<String> {
         .collect()
 }
 
-/// Result of one damped fixed-point stage run.
-struct StageRun {
-    /// The typed record of the run (always produced, success or not).
-    attempt: StageAttempt,
-    /// Whether the stage met tolerance.
-    converged: bool,
-    /// The factorization failure that ended the run, if one did.
-    factor_error: Option<FactorError>,
-    /// The budget interruption that ended the run, if one did. Unlike a
-    /// convergence failure this must not trigger further homotopy stages
-    /// or damping retries — the caller unwinds immediately.
-    interrupted: Option<remix_exec::Interruption>,
-}
-
-/// Runs one damped fixed-point stage at the given gmin / source scale /
-/// pseudo-transient diagonal load, recording a [`StageAttempt`].
-#[allow(clippy::too_many_arguments)]
-fn converge_stage(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    x: &mut [f64],
-    gmin: f64,
-    source_scale: f64,
-    diag_load: f64,
-    stage: TraceStage,
-    opts: &OpOptions,
-    mos_evals: &mut Vec<Option<MosEval>>,
-) -> StageRun {
-    let dim = layout.dim();
-    let mut m = TripletMatrix::<f64>::new(dim, dim);
-    let mut rhs = vec![0.0; dim];
-    let mode = RealMode::Dc { gmin, source_scale };
-
-    let mut attempt = StageAttempt::new(stage);
-    attempt.gmin = gmin;
-    attempt.source_scale = source_scale;
-    attempt.diag_load = diag_load;
-    attempt.dv_max = opts.dv_max;
-
-    let max_iter = crate::fault::newton_cap(opts.max_iter);
-    for iter in 0..max_iter {
-        if let Err(i) = remix_exec::charge_newton_iteration() {
-            attempt.outcome = AttemptOutcome::Interrupted(i);
-            return StageRun {
-                attempt,
-                converged: false,
-                factor_error: None,
-                interrupted: Some(i),
-            };
-        }
-        attempt.iterations = iter + 1;
-        assemble_real(circuit, layout, x, &mode, &mut m, &mut rhs, Some(mos_evals));
-        if diag_load > 0.0 {
-            // Pseudo-transient continuation: a diagonal load λ with a
-            // matching λ·v_prev on the RHS is one implicit-Euler step of
-            // C dv/dt = −f(v) through artificial time (C/h = λ).
-            for i in 0..layout.node_unknowns() {
-                m.push(i, i, diag_load);
-                rhs[i] += diag_load * x[i];
-            }
-        }
-        let lu = match factor_system(&m, opts.solver) {
-            Ok(lu) => lu,
-            Err(e) => {
-                attempt.outcome = factor_outcome(&e);
-                let interrupted = budget_refusal(&e);
-                return StageRun {
-                    attempt,
-                    converged: false,
-                    factor_error: Some(e),
-                    interrupted,
-                };
-            }
-        };
-        attempt.rcond = Some(lu.rcond_estimate());
-        let x_new = match lu.solve(&rhs) {
-            Ok(v) => v,
-            Err(e) => {
-                attempt.outcome = factor_outcome(&e);
-                let interrupted = budget_refusal(&e);
-                return StageRun {
-                    attempt,
-                    converged: false,
-                    factor_error: Some(e),
-                    interrupted,
-                };
-            }
-        };
-
-        // Damping limited to node voltages; branch currents follow freely.
-        let mut max_dv: f64 = 0.0;
-        for i in 0..layout.node_unknowns() {
-            max_dv = max_dv.max((x_new[i] - x[i]).abs());
-        }
-        let alpha = if max_dv > opts.dv_max {
-            opts.dv_max / max_dv
-        } else {
-            1.0
-        };
-        let mut max_change: f64 = 0.0;
-        for i in 0..dim {
-            let nv = x[i] + alpha * (x_new[i] - x[i]);
-            if i < layout.node_unknowns() {
-                max_change = max_change.max((nv - x[i]).abs());
-            }
-            x[i] = nv;
-        }
-        attempt.final_max_dv = max_change;
-        if !x.iter().all(|v| v.is_finite()) {
-            attempt.outcome = AttemptOutcome::Diverged;
-            return StageRun {
-                attempt,
-                converged: false,
-                factor_error: None,
-                interrupted: None,
-            };
-        }
-        if max_change < opts.v_tol && alpha == 1.0 {
-            attempt.outcome = AttemptOutcome::Converged;
-            return StageRun {
-                attempt,
-                converged: true,
-                factor_error: None,
-                interrupted: None,
-            };
-        }
-    }
-    attempt.outcome = AttemptOutcome::MaxIterations;
-    StageRun {
-        attempt,
-        converged: false,
-        factor_error: None,
-        interrupted: None,
-    }
-}
-
-/// Maps a factorization failure to its traced outcome.
-fn factor_outcome(e: &FactorError) -> AttemptOutcome {
-    match e {
-        FactorError::Singular { step } => AttemptOutcome::Singular { step: *step },
-        FactorError::Budget(i) => AttemptOutcome::Interrupted(*i),
-        _ => AttemptOutcome::NotFinite,
-    }
-}
-
-/// The budget interruption behind a factorization refusal, if that is
-/// what the error is.
-fn budget_refusal(e: &FactorError) -> Option<remix_exec::Interruption> {
-    match e {
-        FactorError::Budget(i) => Some(*i),
-        _ => None,
-    }
-}
-
-/// Walks one ladder stage of a [`ConvergencePolicy`], pushing every
-/// attempt into `trace`. Returns whether the stage converged, the last
-/// factorization failure seen inside it, and the budget interruption
-/// that cut it short, if any.
-#[allow(clippy::too_many_arguments)]
-fn run_stage(
-    kind: StageKind,
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    x: &mut [f64],
-    stage_opts: &OpOptions,
-    target_gmin: f64,
-    mos_evals: &mut Vec<Option<MosEval>>,
-    trace: &mut ConvergenceTrace,
-) -> (bool, Option<FactorError>, Option<remix_exec::Interruption>) {
-    x.iter_mut().for_each(|v| *v = 0.0);
-    let stage = TraceStage::Dc(kind);
-    let mut last_ferr: Option<FactorError> = None;
-    let mut interrupted: Option<remix_exec::Interruption> = None;
-    let record = |run: StageRun,
-                  ferr: &mut Option<FactorError>,
-                  intr: &mut Option<remix_exec::Interruption>,
-                  t: &mut ConvergenceTrace| {
-        if run.factor_error.is_some() {
-            *ferr = run.factor_error;
-        }
-        if run.interrupted.is_some() {
-            *intr = run.interrupted;
-        }
-        let ok = run.converged;
-        t.push(run.attempt);
-        ok
-    };
-    let converged = match kind {
-        StageKind::Direct => {
-            let run = converge_stage(
-                circuit,
-                layout,
-                x,
-                target_gmin,
-                1.0,
-                0.0,
-                stage,
-                stage_opts,
-                mos_evals,
-            );
-            record(run, &mut last_ferr, &mut interrupted, trace)
-        }
-        StageKind::GminLadder { start } => {
-            let mut ok = true;
-            for g in ConvergencePolicy::gmin_rungs(start, target_gmin) {
-                let run = converge_stage(
-                    circuit, layout, x, g, 1.0, 0.0, stage, stage_opts, mos_evals,
-                );
-                if !record(run, &mut last_ferr, &mut interrupted, trace) {
-                    ok = false;
-                    break;
-                }
-            }
-            ok
-        }
+/// The rungs of one ladder stage, each `(gmin, source_scale, diag_load,
+/// decides)`. A rung that does not decide is a loaded pseudo-transient
+/// round: it may miss tolerance (the load keeps the iterate bounded), so
+/// only the final exact solve decides the stage.
+fn rungs(kind: StageKind, target_gmin: f64) -> Vec<(f64, f64, f64, bool)> {
+    match kind {
+        StageKind::Direct => vec![(target_gmin, 1.0, 0.0, true)],
+        StageKind::GminLadder { start } => ConvergencePolicy::gmin_rungs(start, target_gmin)
+            .into_iter()
+            .map(|g| (g, 1.0, 0.0, true))
+            .collect(),
         StageKind::SourceRamp { steps } => {
             let steps = steps.max(1);
-            let mut ok = true;
-            for step in 1..=steps {
-                let scale = step as f64 / steps as f64;
-                let run = converge_stage(
-                    circuit,
-                    layout,
-                    x,
-                    target_gmin,
-                    scale,
-                    0.0,
-                    stage,
-                    stage_opts,
-                    mos_evals,
-                );
-                if !record(run, &mut last_ferr, &mut interrupted, trace) {
-                    ok = false;
-                    break;
-                }
-            }
-            ok
+            (1..=steps)
+                .map(|step| (target_gmin, step as f64 / steps as f64, 0.0, true))
+                .collect()
         }
         StageKind::PseudoTransient {
             lambda0,
             decay,
             rounds,
-        } => {
-            // Loaded rounds relax the iterate toward the solution; a
-            // round that misses tolerance is fine (the load keeps it
-            // bounded), so only the final exact solve decides.
-            let mut lambda = lambda0;
-            for _ in 0..rounds {
-                let run = converge_stage(
-                    circuit,
-                    layout,
-                    x,
-                    target_gmin,
-                    1.0,
-                    lambda,
-                    stage,
-                    stage_opts,
-                    mos_evals,
-                );
-                record(run, &mut last_ferr, &mut interrupted, trace);
-                if interrupted.is_some() {
-                    return (false, last_ferr, interrupted);
+        } => std::iter::successors(Some(lambda0), |lambda| Some(lambda * decay))
+            .take(rounds)
+            .map(|lambda| (target_gmin, 1.0, lambda, false))
+            .chain([(target_gmin, 1.0, 0.0, true)])
+            .collect(),
+    }
+}
+
+/// Walks one ladder stage of a [`ConvergencePolicy`] from 0 V, pushing
+/// every attempt into `trace`. Stops at the first deciding rung that
+/// fails, and at once on an interruption.
+#[allow(clippy::too_many_arguments)]
+fn run_stage(
+    kind: StageKind,
+    newton: &mut Newton,
+    circuit: &Circuit,
+    layout: &MnaLayout,
+    x: &mut [f64],
+    limits: Limits,
+    target_gmin: f64,
+    mos_evals: &mut Vec<Option<MosEval>>,
+    trace: &mut ConvergenceTrace,
+) -> Result<(), Stop> {
+    x.fill(0.0);
+    for (gmin, source_scale, diag_load, decides) in rungs(kind, target_gmin) {
+        let mut attempt = StageAttempt::new(TraceStage::Dc(kind));
+        attempt.gmin = gmin;
+        attempt.source_scale = source_scale;
+        attempt.diag_load = diag_load;
+        let mode = RealMode::Dc { gmin, source_scale };
+        let solved = newton.solve(x, limits, &mut attempt, |x, m, rhs| {
+            assemble_real(circuit, layout, x, &mode, m, rhs, Some(&mut *mos_evals));
+            // Pseudo-transient continuation: a diagonal load λ with a
+            // matching λ·v_prev on the RHS is one implicit-Euler step of
+            // C dv/dt = −f(v) through artificial time (C/h = λ).
+            if diag_load > 0.0 {
+                for i in 0..layout.node_unknowns() {
+                    m.push(i, i, diag_load);
+                    rhs[i] += diag_load * x[i];
                 }
-                if !x.iter().all(|v| v.is_finite()) {
-                    x.iter_mut().for_each(|v| *v = 0.0);
-                }
-                lambda *= decay;
             }
-            let run = converge_stage(
-                circuit,
-                layout,
-                x,
-                target_gmin,
-                1.0,
-                0.0,
-                stage,
-                stage_opts,
-                mos_evals,
-            );
-            record(run, &mut last_ferr, &mut interrupted, trace)
+        });
+        trace.push(attempt);
+        match solved {
+            Err(stop) if decides || matches!(stop, Stop::Interrupted(_)) => return Err(stop),
+            _ if !x.iter().all(|v| v.is_finite()) => x.fill(0.0),
+            _ => {}
         }
-    };
-    (converged, last_ferr, interrupted)
+    }
+    Ok(())
 }
 
 /// Computes the DC operating point of a circuit.
@@ -497,43 +251,45 @@ pub fn dc_operating_point(
 
     // Walk the policy ladder, retried with progressively tighter damping:
     // strong feedback loops (the TIA around its two-stage OTA) can
-    // limit-cycle at loose damping.
+    // limit-cycle at loose damping. The OP never sets `numeric`: every
+    // iteration factors afresh.
+    let mut newton = Newton::new(&layout, opts.solver);
     let mut converged = false;
-    let mut last_factor_error: Option<FactorError> = None;
+    let mut last_stop: Option<Stop> = None;
     'damping: for tighten in 0..opts.policy.damping_retries.max(1) {
-        let stage_opts = OpOptions {
-            dv_max: opts.dv_max / 3f64.powi(tighten as i32),
+        let limits = Limits {
             max_iter: opts.max_iter * (1 + 2 * tighten),
-            ..opts.clone()
+            v_tol: opts.v_tol,
+            dv_max: opts.dv_max / 3f64.powi(tighten as i32),
         };
         for kind in &opts.policy.stages {
-            let (ok, ferr, interrupted) = run_stage(
+            match run_stage(
                 *kind,
+                &mut newton,
                 circuit,
                 &layout,
                 &mut x,
-                &stage_opts,
+                limits,
                 opts.gmin,
                 &mut mos_evals,
                 &mut trace,
-            );
-            if ferr.is_some() {
-                last_factor_error = ferr;
-            }
-            if let Some(i) = interrupted {
-                return Err(AnalysisError::BudgetExceeded {
-                    interruption: i,
-                    trace,
-                    partial: PartialProgress {
-                        analysis: "dc operating point".into(),
-                        completed: 0,
-                        total: 0,
-                    },
-                });
-            }
-            if ok {
-                converged = true;
-                break 'damping;
+            ) {
+                Ok(()) => {
+                    converged = true;
+                    break 'damping;
+                }
+                Err(Stop::Interrupted(interruption)) => {
+                    return Err(AnalysisError::BudgetExceeded {
+                        interruption,
+                        trace,
+                        partial: PartialProgress {
+                            analysis: "dc operating point".into(),
+                            completed: 0,
+                            total: 0,
+                        },
+                    });
+                }
+                Err(stop) => last_stop = Some(stop),
             }
         }
     }
@@ -541,13 +297,9 @@ pub fn dc_operating_point(
         // A ladder that ended on a factorization failure is a *singular*
         // problem (cross-referenced against the structural-rank lint
         // pass), not a stalled iteration.
-        let ended_singular = matches!(
-            trace.attempts.last().map(|a| a.outcome),
-            Some(AttemptOutcome::Singular { .. }) | Some(AttemptOutcome::NotFinite)
-        );
-        if let (true, Some(fe)) = (ended_singular, last_factor_error) {
+        if let Some(Stop::Factor(error)) = last_stop {
             return Err(AnalysisError::Singular {
-                error: fe,
+                error,
                 diagnosis: structural_diagnosis(circuit),
                 trace,
             });
@@ -598,25 +350,6 @@ pub fn dc_operating_point(
     Ok(op)
 }
 
-/// [`dc_operating_point`] through the dense reference LU path
-/// ([`LinearSolverKind::Dense`]): same Newton iteration and homotopy
-/// ladder, independent linear algebra. Exists for differential testing —
-/// solve a circuit both ways and compare node voltages.
-///
-/// # Errors
-///
-/// Same as [`dc_operating_point`].
-pub fn dc_operating_point_dense(
-    circuit: &Circuit,
-    opts: &OpOptions,
-) -> Result<OperatingPoint, AnalysisError> {
-    let opts = OpOptions {
-        solver: LinearSolverKind::Dense,
-        ..opts.clone()
-    };
-    dc_operating_point(circuit, &opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,7 +377,11 @@ mod tests {
             Circuit::gnd(),
         );
         let sparse = dc_operating_point(&c, &OpOptions::default()).unwrap();
-        let dense = dc_operating_point_dense(&c, &OpOptions::default()).unwrap();
+        let dense_opts = OpOptions {
+            solver: LinearSolverKind::Dense,
+            ..OpOptions::default()
+        };
+        let dense = dc_operating_point(&c, &dense_opts).unwrap();
         for n in [vdd, out] {
             let (a, b) = (sparse.voltage(n), dense.voltage(n));
             assert!(

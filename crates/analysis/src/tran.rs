@@ -10,19 +10,19 @@
 //! `remix_dsp::tone::CoherentPlan`); a fixed step that divides the sample
 //! interval exactly keeps tones on their bins.
 
-use crate::convergence::{AttemptOutcome, ConvergenceTrace, StageAttempt, TraceStage};
+use crate::convergence::{ConvergenceTrace, StageAttempt, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
-use crate::op::{
-    dc_operating_point, structural_diagnosis, LinearSolverKind, OpOptions, OperatingPoint,
-};
+use crate::newton::{Limits, Newton, Stop};
+use crate::op::{dc_operating_point, structural_diagnosis, OpOptions, OperatingPoint};
 use crate::partial::{Interrupted, Partial};
 use crate::stamp::{
     assemble_real, cap_companion_current, mos_cap_branches, CapState, ElementState, RealMode,
 };
 use remix_circuit::{Circuit, Element, MnaLayout, Node};
-use remix_numerics::{
-    CsrPattern, FactorError, IntegrationMethod, LuFactor, SparseLu, TripletMatrix,
-};
+use remix_numerics::IntegrationMethod;
+
+/// Largest node-voltage move per Newton iteration of a transient step (V).
+const TRAN_DV_MAX: f64 = 0.5;
 
 /// Options controlling a transient run.
 #[derive(Debug, Clone)]
@@ -157,18 +157,12 @@ struct Integrator<'a> {
     mos_caps: Vec<Option<remix_circuit::MosCaps>>,
     x: Vec<f64>,
     opts: &'a TranOptions,
-    /// Newton scaffolding reused by every step: the assembled system,
-    /// its right-hand side and the iterate.
-    m: TripletMatrix<f64>,
-    rhs: Vec<f64>,
+    /// The Newton iterate of the step in progress.
     x_iter: Vec<f64>,
-    /// The triplet→CSR map of the run's fixed MNA pattern.
-    pattern: CsrPattern<f64>,
-    /// The sparse LU of the last factorization, kept for numeric refactors.
-    lu: Option<SparseLu<f64>>,
-    /// Set once the run has accepted its first step; from then on sparse
-    /// factorizations are values-only refactors of `lu`.
-    refactor: bool,
+    /// The run's Newton scaffolding; `numeric` is set once the run has
+    /// accepted its first step, so every iteration of the first step
+    /// factors afresh.
+    newton: Newton,
 }
 
 impl<'a> Integrator<'a> {
@@ -202,20 +196,15 @@ impl<'a> Integrator<'a> {
             };
             states.push(st);
         }
-        let dim = layout.dim();
         Ok(Integrator {
             circuit,
+            newton: Newton::new(&layout, opts.op_options.solver),
             layout,
             states,
             mos_caps: op.mos_caps,
             x_iter: x.clone(),
             x,
             opts,
-            m: TripletMatrix::new(dim, dim),
-            rhs: vec![0.0; dim],
-            pattern: CsrPattern::new(),
-            lu: None,
-            refactor: false,
         })
     }
 
@@ -223,127 +212,50 @@ impl<'a> Integrator<'a> {
     /// On success updates `self.x` and the dynamic states.
     fn step(&mut self, t: f64, h: f64, method: IntegrationMethod) -> Result<(), AnalysisError> {
         let coeffs = method.coeffs(h);
-        let dim = self.layout.dim();
         self.x_iter.copy_from_slice(&self.x);
-        let x = &mut self.x_iter;
-
         let mut attempt = StageAttempt::new(TraceStage::TranStep { t, h });
         attempt.gmin = self.opts.gmin;
-        attempt.dv_max = 0.5;
-        let fail =
-            |mut attempt: StageAttempt, outcome: AttemptOutcome, ferr: Option<FactorError>| {
-                attempt.outcome = outcome;
-                let mut trace = ConvergenceTrace::new("transient step");
-                trace.push(attempt);
-                match ferr {
-                    Some(error) => AnalysisError::Singular {
-                        error,
-                        diagnosis: structural_diagnosis(self.circuit),
-                        trace,
-                    },
-                    None => AnalysisError::NoConvergence {
-                        context: format!("transient step at t = {t:.3e}"),
-                        iterations: attempt.iterations,
-                        trace,
-                    },
-                }
-            };
-        let mut converged = false;
-        let max_newton = crate::fault::newton_cap(self.opts.max_newton);
-        for iter in 0..max_newton {
-            if let Err(i) = remix_exec::charge_newton_iteration() {
-                attempt.outcome = AttemptOutcome::Interrupted(i);
-                let mut trace = ConvergenceTrace::new("transient step");
-                trace.push(attempt);
-                return Err(AnalysisError::BudgetExceeded {
-                    interruption: i,
+        let limits = Limits {
+            max_iter: self.opts.max_newton,
+            v_tol: self.opts.v_tol,
+            dv_max: TRAN_DV_MAX,
+        };
+        let mode = RealMode::Tran {
+            t,
+            gmin: self.opts.gmin,
+            coeffs,
+            states: &self.states,
+            mos_caps: &self.mos_caps,
+        };
+        let solved = self
+            .newton
+            .solve(&mut self.x_iter, limits, &mut attempt, |x, m, rhs| {
+                assemble_real(self.circuit, &self.layout, x, &mode, m, rhs, None)
+            });
+        if let Err(stop) = solved {
+            let mut trace = ConvergenceTrace::new("transient step");
+            trace.push(attempt);
+            return Err(match stop {
+                Stop::Interrupted(interruption) => AnalysisError::BudgetExceeded {
+                    interruption,
                     trace,
                     partial: PartialProgress {
                         analysis: "transient".into(),
                         completed: 0,
                         total: 0,
                     },
-                });
-            }
-            attempt.iterations = iter + 1;
-            let mode = RealMode::Tran {
-                t,
-                gmin: self.opts.gmin,
-                coeffs,
-                states: &self.states,
-                mos_caps: &self.mos_caps,
-            };
-            assemble_real(
-                self.circuit,
-                &self.layout,
-                x,
-                &mode,
-                &mut self.m,
-                &mut self.rhs,
-                None,
-            );
-            let csr = self.pattern.convert(&self.m);
-            let rhs = &self.rhs;
-            let solved = match self.opts.op_options.solver {
-                LinearSolverKind::Sparse => {
-                    crate::fault::refactor(&mut self.lu, csr, self.refactor)
-                        .map(|lu| (lu.rcond_estimate(), lu.solve(rhs)))
-                }
-                // The dense reference factors afresh and bypasses the
-                // fault hook, as the operating-point oracle does.
-                LinearSolverKind::Dense => {
-                    LuFactor::factor(&csr.to_dense()).map(|lu| (lu.rcond_estimate(), lu.solve(rhs)))
-                }
-            };
-            let (rcond, x_new) = match solved {
-                Ok(s) => s,
-                Err(FactorError::Budget(i)) => {
-                    attempt.outcome = AttemptOutcome::Interrupted(i);
-                    let mut trace = ConvergenceTrace::new("transient step");
-                    trace.push(attempt);
-                    return Err(AnalysisError::BudgetExceeded {
-                        interruption: i,
-                        trace,
-                        partial: PartialProgress {
-                            analysis: "transient".into(),
-                            completed: 0,
-                            total: 0,
-                        },
-                    });
-                }
-                Err(e) => {
-                    let outcome = match e {
-                        FactorError::Singular { step } => AttemptOutcome::Singular { step },
-                        _ => AttemptOutcome::NotFinite,
-                    };
-                    return Err(fail(attempt, outcome, Some(e)));
-                }
-            };
-            attempt.rcond = Some(rcond);
-            let x_new = match x_new {
-                Ok(v) => v,
-                Err(e) => return Err(fail(attempt, AttemptOutcome::NotFinite, Some(e))),
-            };
-            let mut max_dv: f64 = 0.0;
-            for i in 0..self.layout.node_unknowns() {
-                max_dv = max_dv.max((x_new[i] - x[i]).abs());
-            }
-            // Damped update (0.5 V cap on per-iteration voltage moves).
-            let alpha = if max_dv > 0.5 { 0.5 / max_dv } else { 1.0 };
-            for i in 0..dim {
-                x[i] += alpha * (x_new[i] - x[i]);
-            }
-            attempt.final_max_dv = max_dv * alpha;
-            if !x.iter().all(|v| v.is_finite()) {
-                return Err(fail(attempt, AttemptOutcome::Diverged, None));
-            }
-            if max_dv * alpha < self.opts.v_tol {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(fail(attempt, AttemptOutcome::MaxIterations, None));
+                },
+                Stop::Factor(error) => AnalysisError::Singular {
+                    error,
+                    diagnosis: structural_diagnosis(self.circuit),
+                    trace,
+                },
+                Stop::MaxIterations | Stop::Diverged => AnalysisError::NoConvergence {
+                    context: format!("transient step at t = {t:.3e}"),
+                    iterations: attempt.iterations,
+                    trace,
+                },
+            });
         }
 
         // Commit dynamic states.
@@ -386,7 +298,7 @@ impl<'a> Integrator<'a> {
                 _ => {}
             }
         }
-        self.refactor = true;
+        self.newton.numeric = true;
         Ok(())
     }
 
@@ -852,6 +764,102 @@ mod tests {
         c.add_resistor("r1", vin, out, 1e3);
         c.add_capacitor("c1", out, Circuit::gnd(), 1e-9);
         (c, out)
+    }
+
+    /// Every Newton iteration of a clean run, operating point and steps
+    /// alike, makes exactly one successful factorization.
+    #[test]
+    fn newton_iterations_count_one_factorization_each() {
+        let (c, _) = rc_fixture();
+        let telemetry = remix_telemetry::Telemetry::new();
+        {
+            let _armed = telemetry.arm();
+            transient(&c, &TranOptions::new(1e-6, 1e-8)).unwrap();
+        }
+        let snap = telemetry.snapshot();
+        let iterations = snap.counter(remix_telemetry::names::NEWTON_ITERATIONS);
+        assert!(iterations.is_some_and(|n| n > 100), "{iterations:?}");
+        assert_eq!(
+            iterations,
+            snap.counter(remix_telemetry::names::LU_FACTORIZATIONS)
+        );
+    }
+
+    /// Observed orders of `method` on `c`: the base-2 logs of the ratios
+    /// of the largest error of `v(node)` against `exact`, at `h` against
+    /// `h/2` and at `h/2` against `h/4`.
+    fn observed_orders(
+        c: &Circuit,
+        node: Node,
+        t_stop: f64,
+        h: f64,
+        method: IntegrationMethod,
+        exact: impl Fn(f64) -> f64,
+    ) -> [f64; 2] {
+        let max_error = |h: f64| {
+            let mut opts = TranOptions::new(t_stop, h);
+            opts.method = method;
+            let res = transient(c, &opts).unwrap();
+            let v = res.voltage_waveform(node);
+            res.times
+                .iter()
+                .zip(&v)
+                .fold(0.0f64, |e, (&t, &v)| e.max((v - exact(t)).abs()))
+        };
+        let e = [max_error(h), max_error(h / 2.0), max_error(h / 4.0)];
+        [(e[0] / e[1]).log2(), (e[1] / e[2]).log2()]
+    }
+
+    const ORDERS: [(IntegrationMethod, f64, f64); 2] = [
+        (IntegrationMethod::BackwardEuler, 0.8, 1.2),
+        (IntegrationMethod::Trapezoidal, 1.8, 2.2),
+    ];
+
+    #[test]
+    fn companion_models_converge_at_their_order_on_a_sine_driven_rc() {
+        // τ v' + v = A sin ωt from v(0) = 0 (the operating point at t = 0).
+        let (r, cap, amp, tau) = (1e3, 1e-9, 1.0, 1e-6);
+        let w = 1.0 / tau;
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        let wave = Waveform::sine(amp, w / (2.0 * std::f64::consts::PI));
+        c.add_vsource("v1", vin, Circuit::gnd(), wave);
+        c.add_resistor("r1", vin, out, r);
+        c.add_capacitor("c1", out, Circuit::gnd(), cap);
+        let k = amp / (1.0 + (w * tau).powi(2));
+        let exact =
+            |t: f64| k * ((w * t).sin() - w * tau * (w * t).cos() + w * tau * (-t / tau).exp());
+        for (method, lo, hi) in ORDERS {
+            let orders = observed_orders(&c, out, 3.0 * tau, tau / 50.0, method, exact);
+            for p in orders {
+                assert!(p >= lo && p <= hi, "{method:?}: orders {orders:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn companion_models_converge_at_their_order_on_an_lc_tank() {
+        // A sine current I sin(ωd t) into a lossless parallel LC from
+        // rest: v = K (cos ωd t − cos ω0 t), K = I ωd / (C (ω0² − ωd²)).
+        let (l, cap, amp): (f64, f64, f64) = (1e-6, 1e-9, 1e-3);
+        let w0 = 1.0 / (l * cap).sqrt();
+        let wd = w0 / 2.0;
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let wave = Waveform::sine(amp, wd / (2.0 * std::f64::consts::PI));
+        c.add_isource("i1", Circuit::gnd(), a, wave);
+        c.add_inductor("l1", a, Circuit::gnd(), l);
+        c.add_capacitor("c1", a, Circuit::gnd(), cap);
+        let k = amp * wd / (cap * (w0 * w0 - wd * wd));
+        let exact = |t: f64| k * ((wd * t).cos() - (w0 * t).cos());
+        let period = 2.0 * std::f64::consts::PI / w0;
+        for (method, lo, hi) in ORDERS {
+            let orders = observed_orders(&c, a, 2.0 * period, period / 200.0, method, exact);
+            for p in orders {
+                assert!(p >= lo && p <= hi, "{method:?}: orders {orders:?}");
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,13 @@ pub const ANALYSIS_ACNOISE: &str = "remix.analysis.acnoise";
 /// Span: one transient noise analysis.
 pub const ANALYSIS_TRANNOISE: &str = "remix.analysis.trannoise";
 
-/// Counter: cumulative Newton iterations burned by the homotopy ladder.
+/// Counter: cumulative Newton iterations of the recorded homotopy-ladder
+/// attempts (operating points only).
 pub const CONVERGENCE_ITERATIONS: &str = "remix.analysis.convergence.iterations";
+/// Counter: every Newton iteration of the shared damped-Newton kernel,
+/// operating point and transient alike (one successful factorization
+/// each on a clean run).
+pub const NEWTON_ITERATIONS: &str = "remix.analysis.newton.iterations";
 /// Counter: direct-Newton attempts in the homotopy ladder.
 pub const CONVERGENCE_ATTEMPTS_DIRECT: &str = "remix.analysis.convergence.attempts.direct";
 /// Counter: gmin-stepping attempts in the homotopy ladder.
@@ -187,6 +192,7 @@ pub const ALL: &[&str] = &[
     CONVERGENCE_ATTEMPTS_TRAN_STEP,
     CONVERGENCE_ITERATIONS,
     ANALYSIS_DCSWEEP,
+    NEWTON_ITERATIONS,
     ANALYSIS_OP,
     ANALYSIS_OP_RCOND,
     ANALYSIS_PSS,

@@ -22,8 +22,7 @@ mod common;
 use common::structured_deck;
 use proptest::prelude::*;
 use remix::analysis::{
-    dc_operating_point, dc_operating_point_dense, transient, LinearSolverKind, OpOptions,
-    OperatingPoint, TranOptions,
+    dc_operating_point, transient, LinearSolverKind, OpOptions, OperatingPoint, TranOptions,
 };
 use remix::circuit::{from_spice, Circuit, MosModel, Node, Waveform};
 use remix::core::{LoDrive, MixerConfig, MixerMode, ReconfigurableMixer, RfDrive};
@@ -36,12 +35,19 @@ use std::path::PathBuf;
 /// criteria; only factorization round-off separates them.
 const VTOL: f64 = 1e-6;
 
+/// The default operating-point options on the dense reference backend.
+fn dense_options() -> OpOptions {
+    OpOptions {
+        solver: LinearSolverKind::Dense,
+        ..OpOptions::default()
+    }
+}
+
 /// `None` when the two backends agree; otherwise a human-readable
 /// description of the first disagreement.
 fn solver_disagreement(ckt: &Circuit) -> Option<String> {
-    let opts = OpOptions::default();
-    let sparse = dc_operating_point(ckt, &opts);
-    let dense = dc_operating_point_dense(ckt, &opts);
+    let sparse = dc_operating_point(ckt, &OpOptions::default());
+    let dense = dc_operating_point(ckt, &dense_options());
     match (sparse, dense) {
         (Ok(s), Ok(d)) => first_voltage_gap(ckt, &s, &d),
         (Ok(_), Err(e)) => Some(format!("sparse converged but dense failed: {e}")),
@@ -147,9 +153,8 @@ fn dense_backend_is_live_on_a_known_divider() {
     let deck = "* divider\nv1 in 0 dc 1.2\nr2 in out 1k\nr3 out 0 3k\n.end\n";
     let ckt = from_spice(deck).unwrap();
     let out = ckt.find_node("out").unwrap();
-    let opts = OpOptions::default();
-    let s = dc_operating_point(&ckt, &opts).unwrap();
-    let d = dc_operating_point_dense(&ckt, &opts).unwrap();
+    let s = dc_operating_point(&ckt, &OpOptions::default()).unwrap();
+    let d = dc_operating_point(&ckt, &dense_options()).unwrap();
     assert!((s.voltage(out) - 0.9).abs() < 1e-9);
     assert!((d.voltage(out) - 0.9).abs() < 1e-9);
 }

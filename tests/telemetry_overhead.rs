@@ -93,4 +93,9 @@ fn armed_newton_matches_disarmed_newton() {
             > 0,
         "armed solve should count LU factorizations"
     );
+    // The Newton kernel counts every iteration once; each makes exactly
+    // one successful factorization on a clean solve.
+    let newton = snap.counter("remix.analysis.newton.iterations");
+    assert_eq!(newton, Some(iters));
+    assert_eq!(newton, snap.counter("remix.numerics.lu.factorizations"));
 }
